@@ -10,7 +10,7 @@ chip floorplan (tiles/PEs/ADCs/area) for two of them.
 Run:  python examples/full_resnet50_deployment.py
 """
 
-from repro.analysis import Table
+from repro.tables import Table
 from repro.core import build_deployments, uniform_assignment
 from repro.models import get_network_spec
 from repro.pim import baseline_deployment, build_floorplan, simulate_network

@@ -2,8 +2,8 @@
 
 - :mod:`repro.analysis.hardware` — exact shape-level hardware experiments;
 - :mod:`repro.analysis.accuracy` — trainable-substrate accuracy workbench;
-- :mod:`repro.analysis.experiments` — one runner per paper table/figure;
-- :mod:`repro.analysis.tables` — paper-style text rendering.
+- :mod:`repro.analysis.experiments` — one runner per paper table/figure
+  (rendered with :mod:`repro.tables`).
 """
 
 from .accuracy import PRESETS, AccuracyPreset, AccuracyWorkbench
@@ -17,7 +17,6 @@ from .hardware import (
     mixed_precision_bit_map,
     table1_hardware_rows,
 )
-from .tables import Table, format_value, series_block
 
 __all__ = [
     "AccuracyPreset",
@@ -35,7 +34,4 @@ __all__ = [
     "figure4_series",
     "mixed_precision_bit_map",
     "FIGURE3_LAYERS",
-    "Table",
-    "format_value",
-    "series_block",
 ]

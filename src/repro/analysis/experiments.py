@@ -1,14 +1,13 @@
 """Top-level experiment runners — one function per paper table/figure.
 
 Each runner returns structured data *and* prints a paper-style table via
-:mod:`repro.analysis.tables`, so the benchmark harness
-(``benchmarks/bench_table*.py`` / ``bench_figure*.py``) and EXPERIMENTS.md
-share one source of truth.
+:mod:`repro.tables`, so the ``python -m repro`` commands and the
+paper-claim tests (``tests/analysis/test_paper_claims.py``) share one
+source of truth.
 
 Hardware columns are exact (full-size ResNet-50/101 shapes); accuracy
 columns come from the synthetic-task workbench at a chosen preset (see
-:mod:`repro.analysis.accuracy` and DESIGN.md section 2 on the ImageNet
-substitution).
+:mod:`repro.analysis.accuracy` on the ImageNet substitution).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .hardware import (
     figure4_series,
     table1_hardware_rows,
 )
-from .tables import Table, series_block
 from ..models.specs import get_network_spec
 from ..pim.config import DEFAULT_CONFIG, HardwareConfig
 from ..pim.lut import DEFAULT_LUT, ComponentLUT
@@ -39,6 +37,14 @@ from ..search import (
     evolution_search,
     uniform_budget,
 )
+from ..search.cli import search_result_payload
+from ..serve.deploy import (
+    ab_offered_load_sweep,
+    engine_from_search,
+    load_search_result,
+    render_ab,
+)
+from ..tables import Table, series_block
 
 __all__ = [
     "run_table1",
@@ -392,17 +398,6 @@ def run_search_then_serve(model_name: str = "resnet18",
     ``load_factors`` x the slowest fleet's capacity.  Returns per-policy
     p50/p99 latency, achieved throughput and energy per request.
     """
-    # Imported here: serve.engine (via serve.deploy) pulls in
-    # analysis.tables during repro.serve's own package import — a
-    # module-level import would re-enter repro.serve half-initialized.
-    from ..search.cli import search_result_payload
-    from ..serve.deploy import (
-        ab_offered_load_sweep,
-        engine_from_search,
-        load_search_result,
-        render_ab,
-    )
-
     outcome = run_search(model_name, objective="pareto", budget=budget,
                          budget_fraction=budget_fraction, search=search,
                          config=config, lut=lut, grid_workers=grid_workers,

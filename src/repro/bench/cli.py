@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..tables import Table
 from .compare import compare_runs
 from .registry import load_suites
 from .results import BenchRun, latest_run_path, load_run, write_run
@@ -107,7 +108,6 @@ def _add_selection_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _render_run(run: BenchRun) -> str:
-    from ..analysis.tables import Table
     table = Table(["benchmark", "wall_ms", "throughput", "unit", "samples"],
                   title=f"bench run ({'fast' if run.fast else 'full'} mode, "
                         f"best of {run.repeats} x {run.rounds} rounds)")
@@ -191,7 +191,6 @@ def _mode(run: BenchRun) -> str:
 
 def _cmd_list(_args) -> int:
     registry = load_suites()
-    from ..analysis.tables import Table
     table = Table(["benchmark", "suite", "description"],
                   title=f"{len(registry)} registered benchmarks")
     for bench in registry.select():

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.tables import Table
+from ..tables import Table
 from .results import BenchRun
 
 __all__ = [

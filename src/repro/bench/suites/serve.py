@@ -1,7 +1,6 @@
 """Benchmark for the serving runtime: offered load vs achieved throughput.
 
-The sweep (formerly ``benchmarks/bench_serve.py``, which now shims onto
-this module) replays Poisson request traces against an epitome ResNet-18
+The sweep replays Poisson request traces against an epitome ResNet-18
 deployment on 1/2/4 simulated chips at offered loads below, near and above
 each fleet's capacity, recording achieved throughput, p50/p99 latency,
 shed requests and chip utilization.  Structural expectations:
@@ -23,7 +22,6 @@ import gc
 import time
 from typing import Dict, List, Sequence
 
-from ...analysis.tables import Table
 from ...obs.metrics import MetricsRegistry
 from ...obs.runtime import use_metrics
 from ...serve import (
@@ -38,6 +36,7 @@ from ...serve import (
     get_scenario,
     synthetic_trace,
 )
+from ...tables import Table
 from ..registry import Workload, benchmark
 
 __all__ = [

@@ -1,7 +1,7 @@
 """Deterministic synthetic image datasets — the offline ImageNet stand-in.
 
 The paper's accuracy numbers come from ImageNet, which is unavailable here.
-Per the substitution rule (DESIGN.md section 2) we generate a *learnable*
+As a substitute we generate a *learnable*
 classification task that preserves what the experiments actually measure:
 the accuracy RANKING across configurations (FP32 > epitome FP32 > low-bit
 quantized; epitome-aware quantization > naive quantization; epitome >

@@ -42,7 +42,7 @@ class LintConfig:
     # and the code trees whose ``add_argument`` calls define the flags.
     doc_globs: Sequence[str] = ("README.md", "docs/*.md")
     flag_source_globs: Sequence[str] = (
-        "src/**/*.py", "benchmarks/*.py", "tools/*.py", "examples/*.py")
+        "src/**/*.py", "tools/*.py", "examples/*.py")
     # Flags documented but owned by external tools (never defined here).
     external_flags: Sequence[str] = ("--cov",)
     # A file is "deterministic-subsystem" when any of these appear in

@@ -6,7 +6,7 @@ trained weights.  This module provides :class:`LayerSpec` records for every
 weight layer of torchvision-equivalent ResNet-18/34/50/101 at 224x224 input,
 which feed the PIM simulator and the epitome designer directly, so the
 full-size networks are modelled exactly even though they are too large to
-*train* in this environment (see DESIGN.md section 2).
+*train* on the numpy substrate (see :mod:`repro.data.synthetic`).
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..tables import Table
 from .export import parse_prometheus_text
 from .validate import validate_file
 
@@ -109,8 +110,6 @@ def _rows_from_jsonl(text: str) -> List[dict]:
 
 
 def _cmd_summarize(raw: str) -> int:
-    from ..analysis.tables import Table
-
     path = Path(raw)
     kind, problems = validate_file(path)
     if problems:

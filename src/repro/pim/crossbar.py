@@ -21,7 +21,7 @@ does:
 With ``adc_bits=None`` (ideal ADC) and ``noise_std=0`` the result is exactly
 equal to the integer matrix product, which is what the datapath equivalence
 tests assert.  Device conductance variation can be injected per read to
-study robustness (an EPIM ablation in ``benchmarks/bench_noise.py``).
+study robustness (the device-noise paper-claim tests sweep it).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class CrossbarArray:
         Because degradation grows with the column current, *partially
         enabled* word lines (the IFRT-gated epitome rounds) are relatively
         less affected than fully-driven arrays — a structural robustness
-        property measured in ``benchmarks/bench_ir_drop.py``.
+        property the IR-drop paper-claim tests check.
     rng:
         Generator used for noise draws.
     """

@@ -11,8 +11,8 @@ This module adds that missing dimension:
 3. **Cost** — per-hop energy and link-bandwidth latency from the component
    LUT.
 
-A structural consequence worth measuring (see ``benchmarks/bench_noc.py``):
-epitome deployments occupy far fewer tiles, so their mesh is smaller and
+A structural consequence worth measuring (the NoC paper-claim tests check
+it): epitome deployments occupy far fewer tiles, so their mesh is smaller and
 mean hop distances shrink — communication energy falls with the crossbar
 compression even though the feature-map volume is unchanged.
 

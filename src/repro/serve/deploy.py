@@ -33,7 +33,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analysis.tables import Table
 from ..core.designer import EpitomeAssignment, build_deployments
 from ..core.export import export_deployments
 from ..models.specs import get_network_spec
@@ -43,6 +42,7 @@ from ..pim.lut import DEFAULT_LUT, ComponentLUT
 from ..pim.simulator import NetworkReport, simulate_network
 from ..search.cli import SEARCH_RESULT_SCHEMA, SEARCH_RESULT_VERSION
 from ..search.pareto import select_index
+from ..tables import Table
 from .engine import ServingConfig, ServingEngine
 from .scheduler import SchedulerConfig
 from .sharding import recommended_chips

@@ -35,11 +35,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...analysis.tables import Table
 from ...obs.export import prometheus_text
 from ...obs.metrics import MetricsRegistry
 from ...obs.tracer import Tracer
 from ...obs.validate import validate_prometheus
+from ...tables import Table
 from ..scenarios import get_scenario
 from ..scenarios.faults import parse_faults
 from .config import ResilienceConfig

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .base import Scenario
+from ...tables import Table
 
 __all__ = ["register_scenario", "get_scenario", "list_scenarios",
            "scenario_table"]
@@ -49,8 +50,6 @@ def list_scenarios() -> List[str]:
 
 def scenario_table() -> str:
     """The ``repro serve scenarios list`` rendering."""
-    from ...analysis.tables import Table
-
     table = Table(["scenario", "description"],
                   title="registered load scenarios "
                         "(repro serve --scenario NAME)")

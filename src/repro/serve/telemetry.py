@@ -5,7 +5,7 @@ The collector is deliberately simulation-agnostic: the engine feeds it
 completion records, queue-depth samples and per-chip busy time in simulated
 milliseconds, and it reduces them into the metrics a serving operator
 watches (p50/p95/p99 latency, achieved vs offered throughput, utilization).
-``report()`` renders everything with :class:`repro.analysis.tables.Table`
+``report()`` renders everything with :class:`repro.tables.Table`
 so serving output visually matches the paper-artefact tables.
 
 Two ingestion modes share one set of reductions:
@@ -31,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.tables import Table
 from ..obs.slo import SLO, SLOReport
+from ..tables import Table
 
 __all__ = ["RequestRecord", "TelemetryCollector"]
 

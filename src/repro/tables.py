@@ -1,8 +1,10 @@
-"""Plain-text table rendering for the experiment reports.
+"""Plain-text table rendering shared by every layer's reports.
 
-Every benchmark prints its table/figure data with these helpers so the
-output visually parallels the paper's Tables 1-3 and the Figure 3/4 series,
-making paper-vs-measured comparison (EXPERIMENTS.md) mechanical.
+The paper-artefact runners print their table/figure data with these
+helpers so the output visually parallels the paper's Tables 1-3 and the
+Figure 3/4 series; serve, obs and bench render their summaries with the
+same :class:`Table`.  Standard library only, so any package may import it
+without pulling in another layer.
 """
 
 from __future__ import annotations

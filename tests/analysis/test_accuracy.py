@@ -1,7 +1,7 @@
 """Tests for the accuracy workbench plumbing (repro.analysis.accuracy).
 
-Training-heavy paths are exercised by the benchmark harness; these tests
-cover the cheap invariants: preset registry, dataset determinism, caching,
+Training-heavy paths are exercised by the ``paper_training`` tests in
+``test_paper_claims.py``; these tests cover the cheap invariants: preset registry, dataset determinism, caching,
 quantization-grouping hardware config, and the scale-free HAWQ cost model.
 """
 

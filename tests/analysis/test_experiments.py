@@ -1,8 +1,9 @@
 """Tests for the top-level experiment runners (hardware-only paths).
 
-Accuracy-bearing runners are exercised end-to-end by the benchmark harness;
-here we verify structure, rendering and the hardware-only code paths stay
-correct and fast.
+Accuracy-bearing runners are exercised end to end by the
+``paper_training`` tests in ``test_paper_claims.py``; here we verify
+structure, rendering and the hardware-only code paths stay correct and
+fast.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.analysis.experiments import (
     run_search,
     run_table1,
 )
-from repro.core.search import EvoSearchConfig
+from repro.search import EvoSearchConfig
 
 
 class TestRunTable1HardwareOnly:

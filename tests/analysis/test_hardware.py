@@ -1,8 +1,9 @@
 """Structural tests for the hardware experiment runners.
 
 These encode the *shape claims* of the paper that the reproduction must
-uphold (DESIGN.md section 6): orderings, monotonicities and win/lose
-relations in Table 1, Figure 3 and Figure 4.
+uphold: orderings, monotonicities and win/lose relations in Table 1,
+Figure 3 and Figure 4 (the magnitude anchors live in
+``test_paper_claims.py``).
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.analysis.hardware import (
     table1_hardware_rows,
 )
 from repro.core.designer import uniform_assignment
-from repro.core.search import EvoSearchConfig
+from repro.search import EvoSearchConfig
 from repro.models.specs import resnet50_spec
 
 

@@ -1,8 +1,8 @@
-"""Tests for table rendering (repro.analysis.tables)."""
+"""Tests for table rendering (repro.tables)."""
 
 import pytest
 
-from repro.analysis.tables import Table, format_value, series_block
+from repro.tables import Table, format_value, series_block
 
 
 class TestFormatValue:

@@ -2,6 +2,7 @@
 
 from repro.bench.registry import load_suites
 from repro.bench.runner import RunnerConfig, run_benchmark
+from repro.bench.suites.serve import check_structure, run_sweep
 
 FAST_ONE_SHOT = RunnerConfig(fast=True, warmup=0, repeats=1,
                              min_sample_ms=0.0)
@@ -50,6 +51,13 @@ def test_serve_sweep_declares_one_pass_discipline():
     assert bench.warmup == 0
     assert bench.repeats == 2
     assert bench.min_sample_ms == 0.0
+
+
+def test_serve_sweep_structure_holds():
+    """The full 1/2/4-chip offered-load sweep keeps its shape: achieved
+    tracks offered below saturation and plateaus past it, and more chips
+    sustain more load."""
+    check_structure(run_sweep())
 
 
 def test_search_suite_registered():
