@@ -17,18 +17,20 @@ Registered benchmarks:
   retained serial reference (every (layer, candidate) pair simulated
   from scratch), the baseline the fast paths are measured against;
 - ``search.grid_build_dedup`` — the shape-signature-deduped +
-  process-sharded pipeline at ``workers=4`` (no disk cache), i.e. what
-  ``build_candidate_grid`` actually does on a cold start;
+  process-sharded pipeline with one worker per host CPU (no disk cache),
+  i.e. what ``build_candidate_grid`` actually does on a cold start;
 - ``search.grid_build_warm`` — a rebuild against a fully warm
   persistent grid cache (zero simulations), the "re-search after a
   hardware-config tweak" path.
 
 All three grid benchmarks count the same ``cells`` (grid cache entries
-produced), so their throughputs are directly comparable.
+produced), so their throughputs are directly comparable.  The fast-path
+ones also report the ``workers`` the build actually spawned.
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
 from typing import Dict
 
@@ -41,6 +43,7 @@ from ...search import (
     GridCache,
     build_candidate_grid,
     build_candidate_grid_serial,
+    effective_workers,
     evaluate_assignment,
     evaluate_population,
     evolution_search,
@@ -93,6 +96,10 @@ def _grid_workload(build, model_name: str) -> Workload:
             outcome["sim_tasks_unique"] = float(stats.sim_tasks_unique)
             outcome["simulated"] = float(stats.simulated)
             outcome["cache_hits"] = float(stats.cache_hits)
+            # The processes the build actually used: the pool is capped
+            # by the host's CPU count and by the simulations left to run.
+            outcome["workers"] = float(effective_workers(stats.workers,
+                                                         stats.simulated))
         return grid
 
     probe = build(spec)
@@ -114,12 +121,14 @@ def grid_build_cold_factory(fast: bool) -> Workload:
 
 @benchmark("search.grid_build_dedup", suite="search",
            description="shape-signature dedup + process sharding "
-                       "(workers=4, no disk cache)",
+                       "(one worker per host CPU, no disk cache)",
            warmup=0, repeats=3, min_sample_ms=0.0)
 def grid_build_dedup_factory(fast: bool) -> Workload:
     model = "resnet18" if fast else "resnet50"
+    workers = os.cpu_count() or 1
     return _grid_workload(
-        lambda spec: build_candidate_grid(spec, workers=4, **GRID_KWARGS),
+        lambda spec: build_candidate_grid(spec, workers=workers,
+                                          **GRID_KWARGS),
         model)
 
 

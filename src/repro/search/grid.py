@@ -12,7 +12,9 @@ over the layer axis — no per-individual Python loop.
 its sums are *bit-for-bit identical* to the scalar
 :func:`evaluate_assignment` loop (same IEEE-754 operation sequence);
 reward orderings of the vectorized and scalar paths therefore agree
-exactly, which ``tests/search/test_grid.py`` pins down.
+exactly, which ``tests/search/test_grid.py`` pins down.  The float columns
+are reduced with ``np.cumsum(..., axis=0)[-1]``, which adds sequentially;
+``.sum(axis=0)`` adds pairwise and rounds differently on deep networks.
 """
 
 from __future__ import annotations
@@ -480,10 +482,10 @@ def evaluate_population(matrices: GridMatrices, genomes: np.ndarray,
                         lut: ComponentLUT = DEFAULT_LUT) -> PopulationEval:
     """Score a ``(P, L)`` index-array population in one pass.
 
-    The accumulation runs layer-by-layer (vectorized across the
-    population) in the same left-to-right order as the scalar
-    :func:`evaluate_assignment`, so every individual's totals match the
-    scalar path bit-for-bit — O(L) numpy gathers instead of O(P*L)
+    Each lookup matrix is gathered once into an ``(L, P)`` block and
+    reduced down the layer axis in the same left-to-right order as the
+    scalar :func:`evaluate_assignment`, so every individual's totals match
+    the scalar path bit-for-bit — three numpy gathers instead of O(P*L)
     Python-level dict lookups.
     """
     genomes = np.asarray(genomes)
@@ -492,14 +494,18 @@ def evaluate_population(matrices: GridMatrices, genomes: np.ndarray,
     P, L = genomes.shape
     if L != matrices.num_layers:
         raise ValueError(f"genome length {L} != {matrices.num_layers} layers")
-    xbars = np.zeros(P, dtype=np.int64)
-    latency_ns = np.zeros(P, dtype=np.float64)
-    dynamic_pj = np.zeros(P, dtype=np.float64)
-    for li in range(L):
-        col = genomes[:, li]
-        xbars += matrices.crossbars[li, col]
-        latency_ns += matrices.latency_ns[li, col]
-        dynamic_pj += matrices.dynamic_pj[li, col]
+    if P == 0 or L == 0:
+        # Nothing to gather: every total is the empty sum.
+        xbars = np.zeros(P, dtype=np.int64)
+        latency_ns = np.zeros(P, dtype=np.float64)
+        dynamic_pj = np.zeros(P, dtype=np.float64)
+    else:
+        # One (L, P) gather per lookup matrix; row li holds layer li's
+        # cell for every individual.
+        cells = (np.arange(L)[:, None], genomes.T)
+        xbars = matrices.crossbars[cells].sum(axis=0)
+        latency_ns = np.cumsum(matrices.latency_ns[cells], axis=0)[-1]
+        dynamic_pj = np.cumsum(matrices.dynamic_pj[cells], axis=0)[-1]
     latency_ms = latency_ns / 1e6
     static_mj = (lut.p_leak_per_xbar_uw * xbars * latency_ms * 1e-6
                  * lut.energy_scale)

@@ -16,15 +16,26 @@ vector ``(latency_ms, energy_mj, crossbars)`` (all minimized):
   feasible individual exists yet, selection pressure is "fewest
   crossbars", which drives the population into the feasible region.
 
-Everything is vectorized: population scoring via
-:func:`~repro.search.grid.evaluate_population`, dominance via an
-O(n^2) boolean broadcast over the (population + archive) set.
+Per generation the (archive + population) set is scored, deduplicated
+and filtered:
+
+- scoring is one gather per lookup matrix in
+  :func:`~repro.search.grid.evaluate_population`;
+- duplicate genomes are dropped by hashing each row's bytes, keeping the
+  first occurrence in input order;
+- dominance builds ``(n, n)`` "<= everywhere" and "< somewhere" matrices
+  one objective column at a time, so no ``(n, n, m)`` tensor is ever
+  reduced over its short trailing axis.
+
+``tests/search/test_pareto.py`` checks both helpers against brute-force
+references and pins a golden front digest, so any change to the search's
+arithmetic or bookkeeping order shows up bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,15 +170,22 @@ def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated rows of an ``(N, M)`` objective
     matrix (all objectives minimized).
 
-    Row ``i`` dominates row ``j`` when it is <= everywhere and < somewhere.
+    Row ``i`` dominates row ``j`` when it is <= everywhere and < somewhere,
+    so equal rows never dominate each other.  Building ``leq`` and ``lt``
+    one objective column at a time avoids reducing an ``(N, N, M)``
+    tensor over its short last axis, which costs more than the compares.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     if objectives.ndim != 2:
         raise ValueError("objectives must be (N, M)")
-    if len(objectives) == 0:
+    n = len(objectives)
+    if n == 0:
         return np.zeros(0, dtype=bool)
-    leq = (objectives[:, None, :] <= objectives[None, :, :]).all(axis=2)
-    lt = (objectives[:, None, :] < objectives[None, :, :]).any(axis=2)
+    leq = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for column in objectives.T:
+        leq &= column[:, None] <= column[None, :]
+        lt |= column[:, None] < column[None, :]
     dominated = (leq & lt).any(axis=0)
     return ~dominated
 
@@ -199,8 +217,11 @@ def _thin(genomes: np.ndarray, objectives: np.ndarray,
 
 def _dedupe(genomes: np.ndarray, objectives: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
-    _, index = np.unique(genomes, axis=0, return_index=True)
-    index.sort()
+    """Drop repeated genome rows, keeping each first occurrence in order."""
+    first: Dict[bytes, int] = {}
+    for i, row in enumerate(genomes):
+        first.setdefault(row.tobytes(), i)
+    index = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     return genomes[index], objectives[index]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.search import (
+    CandidateGrid,
     build_candidate_grid,
     build_matrices,
     decode_genome,
@@ -13,7 +14,7 @@ from repro.search import (
     population_rewards,
 )
 from repro.search.evolve import _reward
-from repro.models.specs import resnet18_spec
+from repro.models.specs import NetworkSpec, resnet18_spec
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,28 @@ class TestVectorizedAgreement:
         evals = evaluate_population(m, random_population(grid, 2))
         with pytest.raises(ValueError):
             population_rewards(evals, None, "speed")
+
+    def test_empty_population(self, grid):
+        m = grid.matrices()
+        evals = evaluate_population(m, np.empty((0, m.num_layers),
+                                                dtype=np.int64))
+        assert len(evals) == 0
+        assert evals.crossbars.dtype == np.int64
+        assert evals.latency_ms.dtype == evals.energy_mj.dtype == np.float64
+        assert evals.latency_ms.shape == evals.energy_mj.shape == (0,)
+
+    def test_zero_layer_grid(self):
+        empty = CandidateGrid(spec=NetworkSpec("empty", (32, 32)),
+                              candidates={}, cache={})
+        m = empty.matrices()
+        assert m.num_layers == 0
+        evals = evaluate_population(m, np.empty((4, 0), dtype=np.int64))
+        assert evals.crossbars.tolist() == [0, 0, 0, 0]
+        assert evals.latency_ms.tolist() == [0.0] * 4
+        assert evals.energy_mj.tolist() == [0.0] * 4
+        assert evals.result(0) == evaluate_assignment(empty, [])
+        assert len(evaluate_population(m, np.empty((0, 0),
+                                                dtype=np.int64))) == 0
 
     def test_rejects_bad_shapes(self, grid):
         m = grid.matrices()

@@ -1,5 +1,7 @@
 """Tests for the Pareto multi-objective mode (repro.search.pareto)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.search import (
     pareto_search,
     select_index,
 )
+from repro.search.pareto import _dedupe
 from repro.models.specs import resnet18_spec
 
 
@@ -49,6 +52,47 @@ class TestNonDominatedMask:
     def test_single_and_empty(self):
         assert non_dominated_mask(np.array([[1.0, 2.0]])).tolist() == [True]
         assert non_dominated_mask(np.empty((0, 3))).tolist() == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pairwise_reference(self, m, seed):
+        # Small-integer values make ties and duplicate rows common.
+        rng = np.random.default_rng(seed * 10 + m)
+        n = 300 if seed == 0 else int(rng.integers(1, 80))
+        objs = rng.integers(0, 5, size=(n, m)).astype(np.float64)
+        assert non_dominated_mask(objs).tolist() == _pairwise_mask(objs)
+
+
+def _pairwise_mask(objs):
+    """Brute-force reference: row j survives unless some row i is <= it
+    everywhere and < it somewhere."""
+    rows = objs.tolist()
+
+    def dominates(a, b):
+        return (all(x <= y for x, y in zip(a, b))
+                and any(x < y for x, y in zip(a, b)))
+
+    return [not any(dominates(a, b) for a in rows) for b in rows]
+
+
+class TestDedupe:
+    def test_keeps_first_occurrence_in_input_order(self):
+        genomes = np.array([[2, 0], [1, 1], [2, 0], [0, 3], [1, 1]])
+        objectives = np.arange(10, dtype=np.float64).reshape(5, 2)
+        kept_g, kept_o = _dedupe(genomes, objectives)
+        assert kept_g.tolist() == [[2, 0], [1, 1], [0, 3]]
+        assert kept_o.tolist() == objectives[[0, 1, 3]].tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unique_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        genomes = rng.integers(0, 3, size=(200, 6), dtype=np.int64)
+        objectives = rng.random((200, 3))
+        _, index = np.unique(genomes, axis=0, return_index=True)
+        index.sort()
+        kept_g, kept_o = _dedupe(genomes, objectives)
+        assert np.array_equal(kept_g, genomes[index])
+        assert np.array_equal(kept_o, objectives[index])
 
 
 class TestCrowdingDistance:
@@ -101,6 +145,39 @@ class TestParetoFront:
             min(p.eval.energy_mj for p in front.points)
         assert front.select("knee") == front.knee()
         assert front.select("index", index=0) == front.points[0]
+
+
+def _front_digest(result):
+    """SHA-256 over every point's genome, exact float bits and crossbars,
+    the archive-size history and the feasibility flag."""
+    lines = [f"{p.genome!r} {p.eval.latency_ms.hex()} "
+             f"{p.eval.energy_mj.hex()} {p.eval.crossbars}"
+             for p in result.points]
+    lines.append(" ".join(float(size).hex() for size in result.history))
+    lines.append(str(result.feasible))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestGoldenFront:
+    """Exactness golden: any change to the search's arithmetic, RNG use or
+    bookkeeping order moves these digests (resnet18 W9A9, default
+    Pareto configuration, the uniform 1024x256 design's crossbars as
+    budget)."""
+
+    GOLDEN = {
+        0: (124, "a7e673fa26797bcc06bb369dfdf4e7f8"
+                 "2e3f559e01449a9fa819049031bbbab7"),
+        3: (120, "3100ca2461e2dc6bf32af64c2491f1a5"
+                 "5f6136f27c850652e1fdc999c48d7706"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_front_bit_identical(self, grid, budget, seed):
+        result = pareto_search(grid, budget,
+                               EvoSearchConfig(objective="pareto", seed=seed))
+        size, digest = self.GOLDEN[seed]
+        assert len(result.points) == size
+        assert _front_digest(result) == digest
 
 
 class TestSelectIndex:
