@@ -39,6 +39,7 @@ import numpy as np
 from ...models.specs import get_network_spec
 from ...pim.simulator import reset_sim_counters, sim_counters
 from ...search import (
+    MIN_SIMS_PER_WORKER,
     EvoSearchConfig,
     GridCache,
     build_candidate_grid,
@@ -97,9 +98,10 @@ def _grid_workload(build, model_name: str) -> Workload:
             outcome["simulated"] = float(stats.simulated)
             outcome["cache_hits"] = float(stats.cache_hits)
             # The processes the build actually used: the pool is capped
-            # by the host's CPU count and by the simulations left to run.
-            outcome["workers"] = float(effective_workers(stats.workers,
-                                                         stats.simulated))
+            # by the host's CPU count and by the simulations left to run
+            # (at least MIN_SIMS_PER_WORKER each).
+            outcome["workers"] = float(effective_workers(
+                stats.workers, stats.simulated, MIN_SIMS_PER_WORKER))
         return grid
 
     probe = build(spec)

@@ -19,6 +19,7 @@
 
 from .grid import (
     DEFAULT_CANDIDATES,
+    MIN_SIMS_PER_WORKER,
     OBJECTIVES,
     Candidate,
     CandidateGrid,
@@ -59,6 +60,7 @@ __all__ = [
     "Candidate",
     "CandidateGrid",
     "DEFAULT_CANDIDATES",
+    "MIN_SIMS_PER_WORKER",
     "OBJECTIVES",
     "EvalResult",
     "EvoSearchConfig",

@@ -34,18 +34,22 @@ __all__ = ["ENV_FORCE_WORKERS", "effective_workers", "parallel_map"]
 ENV_FORCE_WORKERS = "REPRO_SEARCH_FORCE_WORKERS"
 
 
-def effective_workers(requested: int, tasks: int) -> int:
+def effective_workers(requested: int, tasks: int,
+                      min_tasks_per_worker: int = 1) -> int:
     """Workers actually worth spawning for ``tasks`` payloads.
 
     Capped at the machine's CPU count (a pool on a single-core host can
-    only lose) and at the task count.  ``REPRO_SEARCH_FORCE_WORKERS``
-    bypasses the CPU cap.
+    only lose), at the task count, and so that every worker gets at
+    least ``min_tasks_per_worker`` tasks — cheap tasks must pay for the
+    pool's start-up, so too little work per worker runs serially.
+    ``REPRO_SEARCH_FORCE_WORKERS`` bypasses the CPU cap and the
+    minimum-work rule.
     """
     if requested <= 1 or tasks <= 1:
         return 1
-    cap = os.cpu_count() or 1
     if os.environ.get(ENV_FORCE_WORKERS):
-        cap = requested
+        return max(1, min(requested, tasks))
+    cap = min(os.cpu_count() or 1, tasks // max(1, min_tasks_per_worker))
     return max(1, min(requested, cap, tasks))
 
 

@@ -36,7 +36,12 @@ from ..pim.lut import DEFAULT_LUT, ComponentLUT
 from ..pim.simulator import NetworkReport, simulate_network
 from .cache import DeploymentCache, compile_deployment
 from .resilience import BrownoutPlan, ResilienceConfig, ResilienceRuntime
-from .scenarios.faults import FaultPlan, ResolvedFault, parse_faults
+from .scenarios.faults import (
+    DEFAULT_WIPE_STALL_FACTOR,
+    FaultPlan,
+    ResolvedFault,
+    parse_faults,
+)
 from .scheduler import Batch, MicroBatchScheduler, SchedulerConfig
 from .sharding import ShardPlan, plan_sharding
 from .telemetry import RequestRecord, TelemetryCollector
@@ -53,11 +58,6 @@ _EPS = 1e-9
 # repro.serve.vectorized, and "auto" picks vectorized whenever nothing
 # armed needs per-request control flow (docs/vectorized-replay.md).
 ENGINES = ("auto", "scalar", "vectorized")
-
-# A cache wipe stalls each replica's next dispatch for a recompile,
-# priced as this multiple of the deployment's pipeline fill latency
-# unless the fault spec pins an explicit ``stall_ms``.
-DEFAULT_WIPE_STALL_FACTOR = 20.0
 
 
 @dataclass(frozen=True)
@@ -390,9 +390,10 @@ class ServingEngine:
         array engine (:mod:`repro.serve.vectorized` — byte-identical
         summaries, held to that by tests/serve/test_engine_equivalence),
         and ``"auto"`` picks vectorized unless the run arms per-request
-        control flow it cannot express (a fault plan, the resilience
-        runtime, a non-FIFO scheduler policy) — then it falls back to
-        scalar and records :attr:`engine_fallback_reason`.  Requesting
+        control flow it cannot express (the resilience runtime, a
+        non-FIFO scheduler policy; fault plans replay vectorized) — then
+        it falls back to scalar and records
+        :attr:`engine_fallback_reason`.  Requesting
         ``"vectorized"`` with such a blocker armed raises ``ValueError``
         rather than silently changing results.  ``requests`` may be a
         :class:`~repro.serve.trace.TraceArrays` column trace; the scalar
@@ -409,8 +410,6 @@ class ServingEngine:
         if choice not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         blockers = []
-        if faults is not None:
-            blockers.append("fault plan armed")
         if resilience is not None:
             blockers.append("resilience runtime armed")
         blockers.extend(self.config.scheduler.vectorization_blockers())
@@ -425,24 +424,23 @@ class ServingEngine:
                                        if choice == "auto" and blockers
                                        else None)
         if use_vectorized:
-            telemetry = replay_vectorized(self, requests)
-            if not (telemetry.num_completed or telemetry.num_rejected):
-                return telemetry
-            # Stand-in for the scheduler the scalar loop would have run:
-            # on this path every offered request was either accepted and
-            # dispatched or shed by the bounded queue, so the lifetime
-            # counters _publish_metrics folds in are fully determined.
+            # Stand-in for the scheduler the scalar loop would have run;
+            # the replay sets the lifetime counters _publish_metrics
+            # folds in.
             scheduler = MicroBatchScheduler(self.config.scheduler)
-            scheduler.num_submitted = (telemetry.num_completed
-                                       + telemetry.num_rejected)
-            scheduler.num_rejected = telemetry.num_rejected
-            scheduler.num_batches = telemetry.num_batches
+            telemetry = replay_vectorized(self, requests, faults=faults,
+                                          scheduler=scheduler)
+            if not (telemetry.num_completed or telemetry.num_rejected
+                    or telemetry.num_failed):
+                return telemetry
             if tracer.enabled:
                 tracks = {ex.chip_ids: (ex.index, ex.track)
                           for ex in self.executors}
                 tracer.add_source(
-                    lambda: _span_events(telemetry.records, tracks))
-            self._publish_metrics(telemetry, scheduler, metrics)
+                    lambda: _span_events(telemetry.records, tracks,
+                                         telemetry.fault_events))
+            self._publish_metrics(telemetry, scheduler, metrics,
+                                  faults_active=faults is not None)
             return telemetry
 
         if isinstance(requests, TraceArrays):

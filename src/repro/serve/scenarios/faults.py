@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "FAULT_KINDS",
     "DEFAULT_STRAGGLER_FACTOR",
+    "DEFAULT_WIPE_STALL_FACTOR",
     "FaultSpecError",
     "FaultEvent",
     "ResolvedFault",
@@ -45,6 +46,11 @@ __all__ = [
 FAULT_KINDS = ("chip-kill", "straggler", "cache-wipe")
 
 DEFAULT_STRAGGLER_FACTOR = 4.0
+
+# A cache wipe stalls each replica's next dispatch for a recompile,
+# priced as this multiple of the deployment's pipeline fill latency
+# unless the fault spec pins an explicit ``stall_ms``.
+DEFAULT_WIPE_STALL_FACTOR = 20.0
 
 _GRAMMAR = "kind@t=FRAC[:chip=K][:factor=F][:until=FRAC][:stall_ms=MS]"
 

@@ -88,6 +88,9 @@ class TelemetryCollector:
         # None in record mode; the list views above are None exactly
         # when their columnar twin is the source of truth.
         self._completed: Optional[Dict] = None
+        # Record mode's twin of the completion columns, built from the
+        # records on first read and dropped whenever they change.
+        self._record_cols: Optional[Dict[str, np.ndarray]] = None
         self._queue_cols: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._batch_col: Optional[np.ndarray] = None
 
@@ -107,6 +110,7 @@ class TelemetryCollector:
         # rather than let reductions read stale columns.
         self._records = list(value)
         self._completed = None
+        self._record_cols = None
 
     @property
     def queue_samples(self) -> List[Tuple[float, int]]:
@@ -145,6 +149,7 @@ class TelemetryCollector:
     # ---- event ingestion ---------------------------------------------
     def record_completion(self, record: RequestRecord) -> None:
         self._records.append(record)
+        self._record_cols = None
 
     def ingest_columns(self, *,
                        arrival_ms: np.ndarray,
@@ -160,12 +165,17 @@ class TelemetryCollector:
                        queue_times: Optional[np.ndarray] = None,
                        queue_depths: Optional[np.ndarray] = None,
                        batch_sizes: Optional[np.ndarray] = None,
-                       chip_busy_ms: Optional[Dict[int, float]] = None
+                       chip_busy_ms: Optional[Dict[int, float]] = None,
+                       failed_ids: Sequence[int] = (),
+                       retried_ids: Sequence[int] = (),
+                       fault_events: Sequence[Dict] = ()
                        ) -> None:
         """Bulk ingestion of a whole replay (the vectorized engine's
         single call): completion columns ordered by dispatch, the
-        per-event queue-depth series, per-batch sizes, and per-chip busy
-        totals.  The ``records`` / ``queue_samples`` / ``batch_sizes``
+        per-event queue-depth series, per-batch sizes, per-chip busy
+        totals, and — under a fault plan — the failed / retried ids and
+        applied fault events, each in the order the scalar loop records
+        them.  The ``records`` / ``queue_samples`` / ``batch_sizes``
         views materialize lazily from these columns, so a million-request
         replay only ever builds objects a consumer actually reads.
         """
@@ -178,6 +188,9 @@ class TelemetryCollector:
         }
         self._records = None
         self.rejected.extend(rejected_ids)
+        self.failed.extend(failed_ids)
+        self.retried.extend(retried_ids)
+        self.fault_events.extend(fault_events)
         if queue_times is not None:
             self._queue_cols = (queue_times, queue_depths)
             self._queue_samples = None
@@ -236,28 +249,38 @@ class TelemetryCollector:
     # Both ingestion modes answer through these, performing the same
     # floating-point operations on the same float64 values in the same
     # order — the bit-for-bit contract the equivalence harness pins.
+    def _columns(self) -> Dict:
+        """Completion columns (``arrival_ms`` / ``start_ms`` /
+        ``finish_ms``, dispatch order): the ingested ones in column
+        mode, else built once from the records."""
+        if self._completed is not None:
+            return self._completed
+        if self._record_cols is None:
+            records = self._records
+            self._record_cols = {
+                "arrival_ms": np.array([r.arrival_ms for r in records]),
+                "start_ms": np.array([r.start_ms for r in records]),
+                "finish_ms": np.array([r.finish_ms for r in records]),
+            }
+        return self._record_cols
+
     def latency_values(self) -> np.ndarray:
         """End-to-end latency per completed request (dispatch order)."""
-        if self._completed is not None:
-            return self._completed["finish_ms"] - self._completed["arrival_ms"]
-        return np.array([r.latency_ms for r in self._records])
+        cols = self._columns()
+        return cols["finish_ms"] - cols["arrival_ms"]
 
     def wait_values(self) -> np.ndarray:
         """Queueing delay per completed request (dispatch order)."""
-        if self._completed is not None:
-            return self._completed["start_ms"] - self._completed["arrival_ms"]
-        return np.array([r.wait_ms for r in self._records])
+        cols = self._columns()
+        return cols["start_ms"] - cols["arrival_ms"]
 
     def service_values(self) -> np.ndarray:
         """Chip service time per completed request (dispatch order)."""
-        if self._completed is not None:
-            return self._completed["finish_ms"] - self._completed["start_ms"]
-        return np.array([r.service_ms for r in self._records])
+        cols = self._columns()
+        return cols["finish_ms"] - cols["start_ms"]
 
     def finish_values(self) -> np.ndarray:
-        if self._completed is not None:
-            return self._completed["finish_ms"]
-        return np.array([r.finish_ms for r in self._records])
+        return self._columns()["finish_ms"]
 
     def queue_depth_values(self) -> np.ndarray:
         if self._queue_samples is None:
@@ -311,13 +334,9 @@ class TelemetryCollector:
         """First arrival to last completion."""
         if not self.num_completed:
             return 0.0
-        if self._completed is not None:
-            first = float(self._completed["arrival_ms"].min())
-            last = float(self._completed["finish_ms"].max())
-        else:
-            first = min(r.arrival_ms for r in self._records)
-            last = max(r.finish_ms for r in self._records)
-        return last - first
+        cols = self._columns()
+        return (float(cols["finish_ms"].max())
+                - float(cols["arrival_ms"].min()))
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile over completed requests (q in [0, 100])."""
@@ -387,10 +406,7 @@ class TelemetryCollector:
         if not self.num_completed or window_ms <= 0:
             return []
         finishes = self.finish_values()
-        if self._completed is not None:
-            start = float(self._completed["arrival_ms"].min())
-        else:
-            start = min(r.arrival_ms for r in self._records)
+        start = float(self._columns()["arrival_ms"].min())
         # Bucket k covers (start + k*w, start + (k+1)*w]; ceil maps an
         # exact-edge finish into the bucket that ends there, and finishes
         # at (or numerically before) `start` clamp into bucket 0.

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 __all__ = ["Request", "TraceArrays", "arrays_from_requests",
-           "synthetic_trace", "synthetic_trace_arrays",
+           "in_replay_order", "synthetic_trace", "synthetic_trace_arrays",
            "save_trace", "load_trace"]
 
 
@@ -114,19 +114,33 @@ class TraceArrays:
                 for k in range(len(ids))]
 
 
+def in_replay_order(trace: TraceArrays) -> TraceArrays:
+    """``trace`` sorted by ``(arrival_ms, request_id)``, the replay
+    order the engine imposes.  The sort is stable, like ``sorted()``;
+    generator output already is in order, so the identity check keeps
+    the common case copy-free."""
+    order = np.lexsort((trace.request_id, trace.arrival_ms))
+    if np.array_equal(order, np.arange(len(order))):
+        return trace
+    model = (tuple(trace.model[k] for k in order.tolist())
+             if trace.model is not None else None)
+    return TraceArrays(arrival_ms=trace.arrival_ms[order],
+                       request_id=trace.request_id[order],
+                       priority=trace.priority[order], model=model)
+
+
 def arrays_from_requests(requests: Sequence[Request]) -> TraceArrays:
     """Column form of an existing object trace, sorted by
     ``(arrival_ms, request_id)`` — the replay order the engine imposes,
     so replaying the arrays is replaying the list."""
-    ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-    arrival = np.array([r.arrival_ms for r in ordered], dtype=np.float64)
-    ids = np.array([r.request_id for r in ordered], dtype=np.int64)
-    priority = np.array([r.priority for r in ordered], dtype=np.int64)
-    model: Optional[Tuple[str, ...]] = None
-    if any(r.model for r in ordered):
-        model = tuple(r.model for r in ordered)
-    return TraceArrays(arrival_ms=arrival, request_id=ids,
-                       priority=priority, model=model)
+    models = [r.model for r in requests]
+    return in_replay_order(TraceArrays(
+        arrival_ms=np.array([r.arrival_ms for r in requests],
+                            dtype=np.float64),
+        request_id=np.array([r.request_id for r in requests],
+                            dtype=np.int64),
+        priority=np.array([r.priority for r in requests], dtype=np.int64),
+        model=tuple(models) if any(models) else None))
 
 
 def synthetic_trace_arrays(num_requests: int, rate_rps: float, seed: int = 0,

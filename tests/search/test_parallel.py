@@ -53,6 +53,35 @@ class TestEffectiveWorkers:
         assert effective_workers(4, 100) == 4
 
 
+    def test_minimum_work_per_worker(self, monkeypatch):
+        monkeypatch.delenv(ENV_FORCE_WORKERS, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert effective_workers(8, 100, min_tasks_per_worker=500) == 1
+        assert effective_workers(8, 1000, min_tasks_per_worker=500) == 2
+        assert effective_workers(8, 9000, min_tasks_per_worker=500) == 8
+
+    def test_force_env_bypasses_minimum_work(self, monkeypatch):
+        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
+        assert effective_workers(2, 50, min_tasks_per_worker=500) == 2
+
+    def test_small_grid_build_spawns_no_pool(self, monkeypatch):
+        """A deduplicated ResNet-18 grid is far below the per-worker
+        minimum: asking for workers must not start a pool."""
+        from repro.search import MIN_SIMS_PER_WORKER, build_candidate_grid
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started for a small build")
+
+        monkeypatch.delenv(ENV_FORCE_WORKERS, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setattr("repro.search.parallel.ProcessPoolExecutor",
+                            no_pool)
+        grid = build_candidate_grid(resnet18_spec(), workers=4,
+                                    weight_bits=9, activation_bits=9,
+                                    use_wrapping=True)
+        assert grid.build_stats.simulated < MIN_SIMS_PER_WORKER
+
+
 class TestParallelMap:
     def test_serial_path(self):
         assert parallel_map(square, [1, 2, 3], workers=1) == [1, 4, 9]

@@ -9,7 +9,7 @@ check here is ``json.dumps`` equality of the full ``summary()`` dict,
 which freezes every percentile, utilization figure, and counter at
 once.
 
-Coverage is three-pronged:
+Coverage is four-pronged:
 
 - the scenario catalog x seeds {3, 7, 11} (the exact matrix the CI
   ``engine-equivalence`` job replays through the CLI), against golden
@@ -20,12 +20,18 @@ Coverage is three-pronged:
   four-chip fleets (the 1/2-executor fast path and the generic path);
 - property tests over hundreds of randomly drawn traces and scheduler
   configs, because hand-picked cases never find the boundary where two
-  implementations disagree.
+  implementations disagree;
+- fault plans: the catalog matrix again under a straggler + chip kill +
+  cache wipe plan, hand-picked failover edges, and randomly drawn fault
+  plans — each compared beyond ``summary()``: records, queue samples,
+  batch sizes, the rejected / failed / retried lists, fault events and
+  the executors' final state.
 
-The armed-mode tests pin the fallback contract: fault plans, the
-resilience runtime, and non-FIFO policies must *never* silently change
-results — ``auto`` falls back to the scalar loop (and says why), and
-asking for ``vectorized`` explicitly is a hard error.
+The armed-mode tests pin the fallback contract: the resilience runtime
+and non-FIFO policies must *never* silently change results — ``auto``
+falls back to the scalar loop (and says why), and asking for
+``vectorized`` explicitly is a hard error.  Fault plans alone replay
+vectorized.
 """
 
 import json
@@ -36,6 +42,7 @@ import pytest
 
 from repro.core.designer import build_deployments, uniform_assignment
 from repro.models.specs import resnet18_spec
+from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.pim.simulator import simulate_network
 from repro.serve.engine import ENGINES, ServingConfig, ServingEngine
@@ -239,6 +246,230 @@ class TestRandomTraceProperties:
         assert_identical(*summaries(engine, trace))
 
 
+CHAOS_PLAN = ("straggler@t=0.2:chip=0:factor=3:until=0.3,"
+              "chip-kill@t=0.55:chip=1,cache-wipe@t=0.8")
+
+
+def run_state(engine, requests, choice, faults):
+    """One replay's full observable state, beyond ``summary()``."""
+    registry = MetricsRegistry()
+    telemetry = engine.serve(requests, metrics=registry, engine=choice,
+                             faults=faults)
+    assert engine.last_engine == choice
+    return {
+        "summary": json.dumps(telemetry.summary(), sort_keys=True),
+        "metrics": prometheus_text(registry),
+        "records": telemetry.records,
+        "queue_samples": telemetry.queue_samples,
+        "batch_sizes": telemetry.batch_sizes,
+        "rejected": telemetry.rejected,
+        "failed": telemetry.failed,
+        "retried": telemetry.retried,
+        "fault_events": telemetry.fault_events,
+        "executors": [(ex.free_at_ms, ex.alive, ex.pending_stall_ms,
+                       ex.straggle_factor, ex.straggle_until_ms)
+                      for ex in engine.executors],
+    }
+
+
+def assert_same_faulted_run(engine, requests, faults, label=""):
+    """Scalar and vectorized replays under ``faults`` agree on every
+    observable: summary, published metrics, per-request records, queue
+    samples, batch sizes, rejected / failed / retried ids, fault events,
+    and each executor's final free time, liveness and fault state."""
+    scalar = run_state(engine, requests, "scalar", faults)
+    vectorized = run_state(engine, requests, "vectorized", faults)
+    for key in scalar:
+        assert scalar[key] == vectorized[key], (
+            f"{label}: engines diverge on {key} under faults {faults!r}")
+    return scalar
+
+
+class TestFaultedCatalogMatrix:
+    """The catalog x seeds matrix again, under the chaos fault plan."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_faulted_runs_identical(self, report, name, seed):
+        engine = make_engine(report)
+        rate = 0.9 * engine.plan.throughput_fps
+        trace = get_scenario(name).to_trace_arrays(2000, rate_rps=rate,
+                                                   seed=seed)
+        state = assert_same_faulted_run(engine, trace, CHAOS_PLAN,
+                                        f"{name}-seed{seed}")
+        summary = json.loads(state["summary"])
+        assert summary["fault_events"] == 3.0
+        assert summary["completed"] > 0
+
+
+class TestFaultEdges:
+    """Hand-picked failover boundaries."""
+
+    def _trace(self, engine, n=600, load=0.9, seed=7):
+        return synthetic_trace_arrays(
+            n, rate_rps=load * engine.plan.throughput_fps, seed=seed)
+
+    def test_total_outage(self, report):
+        engine = make_engine(report)
+        state = assert_same_faulted_run(
+            engine, self._trace(engine),
+            "chip-kill@t=0.3:chip=0,chip-kill@t=0.5:chip=1")
+        assert state["failed"]
+        assert not any(alive for _, alive, *_ in state["executors"])
+
+    def test_single_chip_outage(self, report):
+        engine = make_engine(report, num_chips=1)
+        assert_same_faulted_run(engine, self._trace(engine),
+                                "chip-kill@t=0.4")
+
+    def test_kill_after_last_arrival_with_work_in_flight(self, report):
+        engine = make_engine(report, max_batch_size=16, window_ms=8.0)
+        trace = self._trace(engine, load=1.5)
+        last = float(trace.arrival_ms[-1])
+        state = assert_same_faulted_run(
+            engine, trace,
+            f"chip-kill@t_ms={last + engine.plan.image_interval_ms}:chip=1")
+        assert state["retried"] or state["failed"]
+
+    def test_straggler_until_past_the_end(self, report):
+        engine = make_engine(report)
+        assert_same_faulted_run(engine, self._trace(engine),
+                                "straggler@t=0.5:chip=1:factor=4:until=3.0")
+
+    def test_straggler_lapses_on_an_exact_event(self, report):
+        # the window closes at an arrival instant: that dispatch already
+        # runs healthy (the lapse test is `now >= until_ms`)
+        engine = make_engine(report, num_chips=1, window_ms=0.0,
+                             max_batch_size=1)
+        gap = 4.0 * engine.plan.per_image_latency_ms
+        requests = [Request(request_id=i, arrival_ms=gap * i)
+                    for i in range(12)]
+        state = assert_same_faulted_run(
+            engine, requests,
+            f"straggler@t_ms={gap * 2}:chip=0:factor=3:"
+            f"until_ms={gap * 5}")
+        service = [r.service_ms for r in state["records"]]
+        assert service[4] > service[5] == pytest.approx(service[0])
+
+    def test_open_ended_straggler(self, report):
+        engine = make_engine(report, num_chips=4)
+        assert_same_faulted_run(engine, self._trace(engine),
+                                "straggler@t=0.1:chip=2:factor=2.5")
+
+    def test_two_wipes_before_any_dispatch(self, report):
+        engine = make_engine(report, window_ms=8.0)
+        state = assert_same_faulted_run(
+            engine, self._trace(engine),
+            "cache-wipe@t=0,cache-wipe@t=0:stall_ms=3")
+        # both debts stack onto the first dispatch's fill
+        stalls = 20.0 * engine.plan.per_image_latency_ms + 3.0
+        assert state["records"][0].service_ms > stalls
+
+    def test_kill_of_dead_and_unowned_chips(self, report):
+        engine = make_engine(report)
+        state = assert_same_faulted_run(
+            engine, self._trace(engine),
+            "chip-kill@t=0.3:chip=1,chip-kill@t=0.4:chip=1,"
+            "chip-kill@t=0.5:chip=9,straggler@t=0.6:chip=1:factor=2")
+        outcomes = [e["outcome"] for e in state["fault_events"]]
+        assert sum("no-op" in o for o in outcomes) == 3
+
+    def test_queue_depth_below_batch_size(self, report):
+        engine = make_engine(report, queue_depth=3, max_batch_size=8)
+        assert_same_faulted_run(engine, self._trace(engine, load=1.4),
+                                CHAOS_PLAN)
+
+    def test_four_chip_fleet_generic_path(self, report):
+        engine = make_engine(report, num_chips=4)
+        assert len(engine.executors) == 4
+        assert_same_faulted_run(
+            engine, self._trace(engine, load=1.2),
+            "chip-kill@t=0.2:chip=3,cache-wipe@t=0.4,"
+            "straggler@t=0.5:chip=0:factor=3:until=0.7,"
+            "chip-kill@t=0.6:chip=0")
+
+    def test_fault_before_first_arrival_and_after_run(self, report):
+        engine = make_engine(report)
+        trace = self._trace(engine)
+        last = float(trace.arrival_ms[-1])
+        assert_same_faulted_run(
+            engine, trace,
+            f"cache-wipe@t_ms=0,chip-kill@t_ms={last + 1e6}:chip=0")
+
+    def test_empty_plan_engages_fault_metrics(self, report):
+        from repro.serve.scenarios.faults import FaultPlan
+
+        engine = make_engine(report)
+        assert_same_faulted_run(engine, self._trace(engine), FaultPlan())
+
+
+class TestRandomFaultPlans:
+    """Property tests: randomly drawn fault plans over random traces."""
+
+    N_CASES = 120
+    KINDS = ("chip-kill", "straggler", "cache-wipe")
+
+    def _plan(self, rng, num_chips, interval_ms):
+        events = []
+        windows = {}        # chip -> [(start, end)] straggler windows
+        for _ in range(int(rng.integers(0, 5))):
+            kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
+            # t=0 fires before the first dispatch; fractions past 1 land
+            # after the last arrival (drain); chip == num_chips is
+            # unowned
+            at = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 1.3))
+            chip = (num_chips if rng.random() < 0.1
+                    else int(rng.integers(0, num_chips)))
+            if kind == "chip-kill":
+                events.append(f"chip-kill@t={at}:chip={chip}")
+            elif kind == "straggler":
+                until = (at + float(rng.uniform(0.01, 1.5))
+                         if rng.random() < 0.8 else None)
+                end = until if until is not None else float("inf")
+                if any(s < end and at < e
+                       for s, e in windows.get(chip, [])):
+                    continue
+                windows.setdefault(chip, []).append((at, end))
+                spec = (f"straggler@t={at}:chip={chip}:"
+                        f"factor={float(rng.uniform(1.2, 6.0))}")
+                events.append(spec if until is None
+                              else f"{spec}:until={until}")
+            elif rng.random() < 0.5:
+                events.append(f"cache-wipe@t={at}")
+            else:
+                stall = float(rng.uniform(0.01, 20.0)) * interval_ms
+                events.append(f"cache-wipe@t={at}:stall_ms={stall}")
+        return ",".join(events) if events else None
+
+    def test_random_fault_plans_agree(self, report):
+        rng = np.random.default_rng(20241017)
+        faulted = 0
+        for case in range(self.N_CASES):
+            num_chips = int(rng.choice([1, 2, 4]))
+            sched = SchedulerConfig(
+                max_batch_size=int(rng.integers(1, 12)),
+                window_ms=float(rng.choice([0.0, 0.5, 2.0, 8.0])),
+                queue_depth=int(rng.integers(1, 64)))
+            engine = ServingEngine(report, ServingConfig(
+                num_chips=num_chips, scheduler=sched))
+            n = int(rng.integers(1, 200))
+            gaps = rng.lognormal(mean=float(rng.uniform(-3.0, 0.5)),
+                                 sigma=1.0, size=n)
+            arrivals = np.cumsum(gaps) * engine.plan.image_interval_ms
+            trace = TraceArrays(
+                arrival_ms=np.asarray(arrivals, dtype=np.float64),
+                request_id=np.arange(n, dtype=np.int64),
+                priority=rng.integers(0, 3, size=n).astype(np.int64))
+            plan = self._plan(rng, num_chips, engine.plan.image_interval_ms)
+            if plan is None:
+                plan = "cache-wipe@t=0.5"
+            assert_same_faulted_run(
+                engine, trace, plan,
+                f"case {case} (n={n}, chips={num_chips}, sched={sched})")
+            faulted += 1
+        assert faulted == self.N_CASES
+
+
 class TestArmedModeFallback:
     """Faults / resilience / non-FIFO must never silently change results."""
 
@@ -252,13 +483,15 @@ class TestArmedModeFallback:
         assert engine.last_engine == "vectorized"
         assert engine.engine_fallback_reason is None
 
-    def test_auto_with_faults_falls_back_and_matches_scalar(self, report):
+    def test_auto_with_faults_runs_vectorized(self, report):
+        """auto + faults replays vectorized and matches scalar byte for
+        byte."""
         engine = make_engine(report)
         trace = self._trace(engine)
         auto = engine.serve(trace, metrics=MetricsRegistry(),
                             faults="chip-kill@t=0.5").summary()
-        assert engine.last_engine == "scalar"
-        assert "fault" in engine.engine_fallback_reason
+        assert engine.last_engine == "vectorized"
+        assert engine.engine_fallback_reason is None
         scalar = engine.serve(trace, metrics=MetricsRegistry(),
                               faults="chip-kill@t=0.5",
                               engine="scalar").summary()
@@ -285,11 +518,15 @@ class TestArmedModeFallback:
         assert engine.last_engine == "scalar"
         assert "policy" in engine.engine_fallback_reason
 
-    def test_explicit_vectorized_with_faults_raises(self, report):
+    def test_vectorized_faults_resilience_raises(self, report):
+        """Explicit vectorized + faults is fine; adding the resilience
+        runtime is a hard error."""
         engine = make_engine(report)
-        with pytest.raises(ValueError, match="vectorized engine"):
+        with pytest.raises(ValueError, match="resilience"):
             engine.serve(self._trace(engine), metrics=MetricsRegistry(),
-                         faults="chip-kill@t=0.5", engine="vectorized")
+                         faults="chip-kill@t=0.5",
+                         resilience=ResilienceConfig(),
+                         engine="vectorized")
 
     def test_explicit_vectorized_with_priority_policy_raises(self, report):
         engine = make_engine(report, policy="priority")

@@ -140,6 +140,46 @@ class TestQueueAndBatchStats:
         assert telemetry.mean_batch_size() == pytest.approx(4.0)
 
 
+class TestRecordColumns:
+    """Record-mode reductions read columns built once from the records;
+    every mutation of the records must drop them."""
+
+    def _loaded(self):
+        telemetry = TelemetryCollector(num_chips=1)
+        for i in range(6):
+            telemetry.record_completion(
+                record(i, float(i), float(i) + 0.5, 10.0 * (i + 1)))
+        return telemetry
+
+    def test_drop_records_after_summary_is_not_stale(self):
+        telemetry = self._loaded()
+        before = telemetry.summary()
+        assert before["makespan_ms"] == pytest.approx(60.0)
+        late = [r for r in telemetry.records if r.finish_ms > 35.0]
+        telemetry.drop_records(late)
+        after = telemetry.summary()
+        assert after["completed"] == 3.0
+        assert after["makespan_ms"] == pytest.approx(30.0)
+        assert after["latency_p99_ms"] < before["latency_p99_ms"]
+        assert telemetry.latency_values().tolist() == \
+            [r.latency_ms for r in telemetry.records]
+
+    def test_completion_after_read_is_seen(self):
+        telemetry = self._loaded()
+        assert telemetry.makespan_ms == pytest.approx(60.0)
+        telemetry.record_completion(record(9, 0.0, 1.0, 100.0))
+        assert telemetry.makespan_ms == pytest.approx(100.0)
+        assert telemetry.finish_values().tolist()[-1] == 100.0
+
+    def test_records_setter_replaces_columns(self):
+        telemetry = self._loaded()
+        telemetry.summary()
+        telemetry.records = [record(0, 5.0, 6.0, 7.0)]
+        assert telemetry.wait_values().tolist() == [1.0]
+        assert telemetry.service_values().tolist() == [1.0]
+        assert telemetry.makespan_ms == pytest.approx(2.0)
+
+
 class TestPresentation:
     def _loaded(self):
         telemetry = TelemetryCollector(num_chips=2)
