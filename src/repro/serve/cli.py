@@ -132,9 +132,9 @@ def add_serve_parser(subparsers) -> argparse.ArgumentParser:
                        choices=["auto", "scalar", "vectorized"],
                        help="replay engine: the scalar event loop, the "
                             "whole-trace vectorized engine (fault plans "
-                            "included), or auto (vectorized unless "
-                            "--resilience or a non-FIFO policy needs the "
-                            "scalar loop — docs/vectorized-replay.md)")
+                            "and --resilience included), or auto "
+                            "(vectorized unless a non-FIFO policy needs "
+                            "the scalar loop — docs/vectorized-replay.md)")
 
     sched = p.add_argument_group("scheduler")
     sched.add_argument("--max-batch", type=int, default=8,

@@ -390,8 +390,8 @@ class ServingEngine:
         array engine (:mod:`repro.serve.vectorized` — byte-identical
         summaries, held to that by tests/serve/test_engine_equivalence),
         and ``"auto"`` picks vectorized unless the run arms per-request
-        control flow it cannot express (the resilience runtime, a
-        non-FIFO scheduler policy; fault plans replay vectorized) — then
+        control flow it cannot express (a non-FIFO scheduler policy;
+        fault plans and the resilience runtime replay vectorized) — then
         it falls back to scalar and records
         :attr:`engine_fallback_reason`.  Requesting
         ``"vectorized"`` with such a blocker armed raises ``ValueError``
@@ -409,10 +409,7 @@ class ServingEngine:
         choice = engine if engine is not None else self.config.engine
         if choice not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        blockers = []
-        if resilience is not None:
-            blockers.append("resilience runtime armed")
-        blockers.extend(self.config.scheduler.vectorization_blockers())
+        blockers = self.config.scheduler.vectorization_blockers()
         if choice == "vectorized" and blockers:
             raise ValueError(
                 "vectorized engine cannot express: " + "; ".join(blockers)
@@ -429,7 +426,8 @@ class ServingEngine:
             # folds in.
             scheduler = MicroBatchScheduler(self.config.scheduler)
             telemetry = replay_vectorized(self, requests, faults=faults,
-                                          scheduler=scheduler)
+                                          scheduler=scheduler,
+                                          resilience=resilience)
             if not (telemetry.num_completed or telemetry.num_rejected
                     or telemetry.num_failed):
                 return telemetry
@@ -438,9 +436,11 @@ class ServingEngine:
                           for ex in self.executors}
                 tracer.add_source(
                     lambda: _span_events(telemetry.records, tracks,
-                                         telemetry.fault_events))
+                                         telemetry.fault_events,
+                                         telemetry.resilience_events))
             self._publish_metrics(telemetry, scheduler, metrics,
-                                  faults_active=faults is not None)
+                                  faults_active=faults is not None,
+                                  resilience=telemetry.resilience)
             return telemetry
 
         if isinstance(requests, TraceArrays):

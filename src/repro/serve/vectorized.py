@@ -7,25 +7,27 @@ Python dispatch.  This module replays the *same* discrete-event process
 in two phases sized for web-scale traces:
 
 - **Phase A** (:func:`_replay_events`): a pass over the event timeline
-  using primitive lists only.  With the vectorizable subset of the
-  engine armed (FIFO policy, no resilience runtime) the scheduler state
-  collapses to a head pointer into the accepted-index list — no
-  ``Request`` objects, no heaps, no per-event allocations.  The pass
+  using primitive lists only.  Under the FIFO policy (the vectorizable
+  subset) the scheduler state collapses to a head pointer into the
+  accepted-index list — no ``Request`` objects, no heaps, no per-event
+  allocations.  The pass
   emits *batch* columns (dispatch time, size, executor), the
   accepted/rejected index sets, and the per-event queue-depth series.
   A fault plan cuts the pass into *segments* at fault boundaries: each
   segment runs the event loop until the next fault (or straggler
   expiry) is due, :class:`_FaultSchedule` applies it to the resumable
   :class:`_EventState`, and the next segment picks up where the last
-  stopped.
+  stopped.  With the resilience runtime armed, :func:`_segment_armed`
+  runs the segments and calls the run's real controllers (admission,
+  brownout, breakers, retry budget) at the scalar loop's points.
 - **Phase B**: NumPy expansion of the batch columns into per-request
   completion columns (``start = repeat(dispatch, size)``,
   ``finish = repeat(dispatch + fill, size) + j * interval``) and
   per-chip busy totals, handed to
   :meth:`~repro.serve.telemetry.TelemetryCollector.ingest_columns` in
   one call.  Under faults ``fill`` / ``interval`` become per-batch
-  columns (straggler factor, cache-wipe stall) and rows a chip kill
-  retracted are masked out.
+  columns (straggler factor, cache-wipe stall, brownout scales when
+  armed) and rows a chip kill retracted are masked out.
 
 Byte-identical by construction: every float the scalar loop produces is
 recomputed here by the *same* arithmetic expression in the same order —
@@ -35,18 +37,21 @@ in both engines, chip busy totals accumulate left-to-right
 ``_EPS`` slack.  The differential harness in
 ``tests/serve/test_engine_equivalence.py`` holds the scalar engine as
 the permanent oracle and asserts ``summary()`` equality across the
-scenario catalog, with and without fault plans;
+scenario catalog, with and without fault plans and the resilience
+runtime;
 docs/vectorized-replay.md maps each event-loop rule to its array-pass
 twin.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .resilience import ResilienceConfig, ResilienceRuntime
 from .scenarios.faults import (
     DEFAULT_WIPE_STALL_FACTOR,
     FaultPlan,
@@ -76,7 +81,9 @@ class _EventState:
     head whenever ``depth > 0``.  Failover resubmissions are appended
     as blocks starting at ``rq_starts``; while the head is below
     ``rq_end`` (the last block's end) their older arrivals may anchor
-    the window.
+    the window.  ``bd`` / ``bs`` / ``bx`` are the per-batch dispatch
+    time, size and executor; an armed run adds ``bg``, whether the batch
+    ran browned out.
     Per executor: ``free`` is the free time (``_INF`` once the replica
     is dead — it can then neither win a dispatch nor be a candidate),
     ``ivl`` the straggler-scaled image interval and ``stall`` the
@@ -85,7 +92,7 @@ class _EventState:
 
     __slots__ = ("now", "i", "depth", "head", "next_arr", "head_dl",
                  "rq_starts", "rq_end", "acc", "rej", "ev_t", "ev_d",
-                 "bd", "bs", "bx", "free", "ivl", "stall")
+                 "bd", "bs", "bx", "bg", "free", "ivl", "stall")
 
     def __init__(self, first_ms: float, num_executors: int,
                  image_interval_ms: float):
@@ -104,6 +111,7 @@ class _EventState:
         self.bd: List[float] = []
         self.bs: List[int] = []
         self.bx: List[int] = []
+        self.bg: List[bool] = []    # browned out (armed runs only)
         self.free = [0.0] * num_executors
         self.ivl = [image_interval_ms] * num_executors
         self.stall = [0.0] * num_executors
@@ -129,7 +137,8 @@ def _oldest(arr: List[float], acc: List[int], head: int,
 def _replay_events(arrivals: List[float], num_executors: int,
                    queue_depth: int, max_batch: int, window_ms: float,
                    image_interval_ms: float,
-                   faults: Optional["_FaultSchedule"] = None
+                   faults: Optional["_FaultSchedule"] = None,
+                   segment: Optional[Callable[..., float]] = None
                    ) -> _EventState:
     """Replay the scalar event loop over primitive lists.
 
@@ -153,10 +162,15 @@ def _replay_events(arrivals: List[float], num_executors: int,
     segment whose per-event exit test is the same single compare.
     Between segments ``faults`` adds its own event candidate and
     applies what is due at the top of the next event.
+
+    ``segment`` replaces the disarmed loop (a resilience-armed run
+    passes :func:`_segment_armed`, whose candidates include the retry
+    backoff heap's top, so the drained test below needs no heap check).
     """
     n = len(arrivals)
     st = _EventState(arrivals[0], num_executors, image_interval_ms)
-    segment = _segment_small if num_executors <= 2 else _segment_any
+    if segment is None:
+        segment = _segment_small if num_executors <= 2 else _segment_any
     if faults is not None and faults.fire(st):
         return st
     while True:
@@ -357,6 +371,189 @@ def _segment_any(arr: List[float], st: _EventState, cap: int, full: int,
     return nxt
 
 
+# reprolint: hot-loop -- armed event pass: controller calls, no allocation
+def _segment_armed(arr: List[float], st: _EventState, cap: int, full: int,
+                   window: float, thr: float, *,
+                   runtime: ResilienceRuntime,
+                   telemetry: TelemetryCollector, priority: List[int],
+                   schedule: "_FaultSchedule") -> float:
+    """Event segment with the resilience runtime armed (FIFO policy).
+
+    Drives ``runtime`` (its transitions land in ``telemetry``) with the
+    trace's ``priority`` column as admission's input; ``schedule`` (the
+    fault schedule, empty without a plan) owns the straggler factors the
+    breakers observe, the failed / retried ids and the trace rows of
+    retries parked on the backoff heap.
+
+    The scalar loop's armed rules in its per-event order, calling the
+    same controllers: due retries re-enter the queue ahead of fresh
+    arrivals (each a one-slot resubmission block, a full queue asks the
+    budget again or fails the request); each arrival feeds brownout its
+    queue delay (while the controller watches, or the delay reaches the
+    entry threshold) and then asks admission; dispatch skips replicas
+    whose breaker does not allow it — failing open when every live one
+    is blocked, waiting when healthy capacity is only busy — feeds the
+    breaker the straggler factor and, browned out, scales the batch's
+    interval by the degraded plan's.  The retry heap's top and
+    open breakers' cooldown ends join the event candidates.
+    """
+    n = len(arr)
+    acc = st.acc
+    acc_append = acc.append
+    rej_append = st.rej.append
+    evt_append = st.ev_t.append
+    evd_append = st.ev_d.append
+    bd_append = st.bd.append
+    bs_append = st.bs.append
+    bx_append = st.bx.append
+    bg_append = st.bg.append
+    free = st.free
+    ivl = st.ivl
+    stall = st.stall
+    c = len(free)
+    factor = schedule.factor
+    admit = runtime.admission.admit
+    brownout = runtime.brownout
+    brownout_update = brownout.update
+    enter_ms = brownout.enter_ms - 1e-9
+    breakers = runtime.breakers
+    retry_heap = runtime.retry_heap
+    interval_scale = runtime.brownout_plan.interval_scale
+    now = st.now
+    i = st.i
+    depth = st.depth
+    head = st.head
+    next_arr = st.next_arr
+    head_dl = st.head_dl
+    rq_starts = st.rq_starts
+    rq_end = st.rq_end
+    oldest = _oldest(arr, acc, head, rq_starts) if depth else 0.0
+    watch = brownout.active or brownout._over_since_ms >= 0.0
+    while True:
+        lim = now + _EPS
+        while retry_heap and retry_heap[0][0] <= lim:
+            request = runtime.pop_retry()
+            k = schedule.pending.pop(id(request))
+            if depth >= cap:
+                schedule.refused += 1
+                if runtime.try_schedule_retry(request, now):
+                    schedule.pending[id(request)] = k
+                    schedule.retried.append(request.request_id)
+                else:
+                    schedule.failed.append(request.request_id)
+                continue
+            if not depth or arr[k] < oldest:
+                oldest = arr[k]
+                head_dl = oldest + window
+            acc_append(k)
+            rq_end = len(acc)
+            rq_starts.append(rq_end - 1)
+            depth += 1
+        while next_arr <= lim:
+            delay = now - oldest if depth else 0.0
+            if watch or delay >= enter_ms:
+                transition = brownout_update(now, delay)
+                if transition:
+                    runtime.note_brownout_transition(transition, now,
+                                                     telemetry)
+                watch = brownout.active or brownout._over_since_ms >= 0.0
+            if not admit(now, delay, priority[i]) or depth >= cap:
+                rej_append(i)
+            else:
+                acc_append(i)
+                if not depth:
+                    oldest = next_arr
+                    head_dl = next_arr + window
+                depth += 1
+            i += 1
+            next_arr = arr[i] if i < n else _INF
+        while depth and (depth >= full or now >= head_dl):
+            best = -1
+            best_free = 0.0
+            idle = 0
+            gate = runtime.open_episodes
+            e = 0
+            while e < c:
+                f = free[e]
+                if f <= lim:
+                    idle += 1
+                    if (not gate or breakers[e].allows(now)) \
+                            and (best < 0 or f < best_free):
+                        best = e
+                        best_free = f
+                e += 1
+            if best < 0:
+                if not idle:
+                    break
+                # Every free replica is tripped: fail open when no live
+                # replica is healthy, else wait for healthy capacity.
+                alive = 0
+                e = 0
+                while e < c:
+                    f = free[e]
+                    if f < _INF:
+                        alive += 1
+                        if f <= lim and (best < 0 or f < best_free):
+                            best = e
+                            best_free = f
+                    e += 1
+                if gate < alive:
+                    break
+                runtime.fail_open_batches += 1
+            take = full if depth > full else depth
+            delta = breakers[best].on_dispatch(now, factor[best])
+            if delta:
+                runtime.note_breaker_transition(best, delta, now, telemetry)
+            step = ivl[best]
+            if runtime.degraded:
+                step *= interval_scale
+                runtime.degraded_completions += take
+            bd_append(now)
+            bs_append(take)
+            bx_append(best)
+            bg_append(runtime.degraded)
+            free[best] = now + stall[best] + take * step
+            stall[best] = 0.0
+            head += take
+            depth -= take
+            if depth:
+                if head < rq_end:
+                    oldest = _oldest(arr, acc, head, rq_starts)
+                else:
+                    oldest = arr[acc[head]]
+                head_dl = oldest + window
+        evt_append(now)
+        evd_append(depth)
+        nxt = next_arr
+        if retry_heap and lim < retry_heap[0][0] < nxt:
+            nxt = retry_heap[0][0]
+        if depth:
+            if lim < head_dl < nxt:
+                nxt = head_dl
+            e = 0
+            while e < c:
+                f = free[e]
+                if lim < f < nxt:
+                    nxt = f
+                e += 1
+            if runtime.open_episodes:
+                for breaker in breakers:
+                    if breaker.is_open \
+                            and lim < breaker.open_until_ms < nxt:
+                        nxt = breaker.open_until_ms
+        if nxt >= thr:
+            break
+        now = nxt
+    st.now = now
+    st.i = i
+    st.depth = depth
+    st.head = head
+    st.next_arr = next_arr
+    st.head_dl = head_dl
+    st.rq_end = rq_end
+    return nxt
+
+
 def _fire_threshold(at_ms: float) -> float:
     """Smallest event time ``t`` with ``t + _EPS >= at_ms`` — the
     scalar loop's firing test, inverted once so a segment can compare
@@ -383,15 +580,28 @@ class _FaultSchedule:
     the replica's rows finishing after the kill and resubmits them once,
     in ``(arrival_ms, request_id)`` order, under the queue cap.
 
+    With a resilience ``runtime`` armed, a chip kill instead asks the
+    run's retry budget for each retracted row (same order) and parks the
+    granted ones on the runtime's backoff heap (``pending`` maps each
+    parked request back to its trace row); a total outage also fails
+    the heap, and batch timing follows the brownout plan on batches
+    dispatched browned out.
+
     Also records what Phase B needs: per-batch straggler factor and
     stall (one column chunk per segment), the retracted row positions,
     and the failed / retried ids and fault events for telemetry.
     """
 
     def __init__(self, engine, arrivals: List[float],
-                 request_ids: np.ndarray, faults: List[ResolvedFault]):
+                 request_ids: np.ndarray, faults: List[ResolvedFault],
+                 runtime: Optional[ResilienceRuntime] = None):
         cfg = engine.config.scheduler
         self.engine = engine
+        self.runtime = runtime
+        self.brownout_plan = runtime.brownout_plan if runtime is not None \
+            else None
+        self.retry_heap = runtime.retry_heap if runtime is not None else ()
+        self.pending: Dict[int, int] = {}   # id(Request) -> trace index
         self.arr = arrivals
         self.rid = request_ids
         self.faults = faults
@@ -459,15 +669,31 @@ class _FaultSchedule:
             self.batch_stall.append(stall)
             bd = np.asarray(st.bd[b0:b1], dtype=np.float64)
             bs = np.asarray(st.bs[b0:b1], dtype=np.int64)
+            fill, interval = self.service(factor, stall, st.bg[b0:b1])
             # `now + fill + (size - 1) * interval`, as _execute returns it
-            last = ((bd + (self.per_image * factor + stall))
-                    + (bs - 1) * (self.interval * factor))
+            last = (bd + fill) + (bs - 1) * interval
             self.max_finish = max(self.max_finish, float(last.max()))
         if self.k < len(self.faults):
             at = self.faults[self.k].at_ms
             if lim < at < nxt and at <= self.max_finish + _EPS:
                 return at
         return nxt
+
+    def service(self, factor: np.ndarray, stall: np.ndarray,
+                degraded: Sequence[bool]) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-batch pipeline fill and image interval by _execute's
+        expressions: ``per_image * factor + stall`` and ``image_interval
+        * factor``, each scaled by the brownout plan on batches an armed
+        run dispatched degraded (``degraded`` is empty when disarmed)."""
+        fill = self.per_image * factor
+        interval = self.interval * factor
+        if self.brownout_plan is not None:
+            degraded = np.asarray(degraded, dtype=bool)
+            plan = self.brownout_plan
+            fill = fill * np.where(degraded, plan.fill_scale, 1.0)
+            interval = interval * np.where(degraded, plan.interval_scale,
+                                           1.0)
+        return fill + stall, interval
 
     def batch_params(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-batch straggler factor and stall, in dispatch order."""
@@ -496,7 +722,8 @@ class _FaultSchedule:
                     self._straggle(fault, st)
                 else:
                     self._wipe(fault, st)
-            if st.i >= len(self.arr) and not st.depth:
+            if st.i >= len(self.arr) and not st.depth \
+                    and not self.retry_heap:
                 return True
         for e, until in enumerate(self.until):
             if until is not None and st.now >= until:
@@ -551,9 +778,10 @@ class _FaultSchedule:
         first = (np.cumsum(bs) - bs)[on]
         sizes = bs[on]
         factor, stall = self.batch_params()
-        base = (np.asarray(st.bd, dtype=np.float64)[on]
-                + (self.per_image * factor[on] + stall[on]))
-        ivl = self.interval * factor[on]
+        fill, ivl = self.service(factor[on], stall[on],
+                                 np.asarray(st.bg, dtype=bool)[on]
+                                 if self.brownout_plan is not None else ())
+        base = np.asarray(st.bd, dtype=np.float64)[on] + fill
         j = (np.arange(int(sizes.sum()), dtype=np.int64)
              - np.repeat(np.cumsum(sizes) - sizes, sizes))
         finish = np.repeat(base, sizes) + j * np.repeat(ivl, sizes)
@@ -585,6 +813,20 @@ class _FaultSchedule:
         requeued_ids = []
         for idx in sorted(st.acc[p] for p in rows):
             rid = int(self.rid[idx])
+            if self.runtime is not None:
+                if survivors:
+                    request = Request(request_id=rid,
+                                      arrival_ms=self.arr[idx])
+                    if self.runtime.try_schedule_retry(request,
+                                                       fault.at_ms):
+                        self.pending[id(request)] = idx
+                        self.retried.append(rid)
+                        requeued += 1
+                        requeued_ids.append(rid)
+                        continue
+                self.failed.append(rid)
+                lost += 1
+                continue
             if survivors and rid not in self.retried_ids:
                 self.retried_ids.add(rid)
                 if st.depth < self.cap:
@@ -597,7 +839,7 @@ class _FaultSchedule:
                 self.refused += 1
             self.failed.append(rid)
             lost += 1
-        if requeued:
+        if requeued and self.runtime is None:
             st.rq_starts.append(len(st.acc) - requeued)
             st.rq_end = len(st.acc)
             st.head_dl = (_oldest(self.arr, st.acc, st.head, st.rq_starts)
@@ -612,10 +854,15 @@ class _FaultSchedule:
 
     def _outage(self, st: _EventState) -> None:
         """Total outage: the queue (in release order, drained by forced
-        batches), then every request still to arrive, fails."""
+        batches), then the retries still backing off (in heap order),
+        then every request still to arrive, fails."""
         queued = st.acc[st.head:st.head + st.depth]
         self.failed.extend(self.rid[queued].tolist())
         self.forced_batches += -(-st.depth // self.full)
+        while self.retry_heap:
+            request = self.runtime.pop_retry()
+            del self.pending[id(request)]
+            self.failed.append(request.request_id)
         self.failed.extend(self.rid[st.i:].tolist())
         st.i = len(self.arr)
         st.depth = 0
@@ -638,7 +885,8 @@ class _FaultSchedule:
 def replay_vectorized(engine, requests: Union[Sequence[Request],
                                               TraceArrays],
                       faults: Optional[FaultPlan] = None,
-                      scheduler: Optional[MicroBatchScheduler] = None
+                      scheduler: Optional[MicroBatchScheduler] = None,
+                      resilience: Optional[ResilienceConfig] = None
                       ) -> TelemetryCollector:
     """Replay a trace through ``engine``'s deployment as array passes.
 
@@ -646,10 +894,12 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     web-scale form — a million-request replay never builds a
     million ``Request`` objects).  The caller
     (:meth:`ServingEngine.serve` with the vectorized engine selected)
-    guarantees the vectorizable subset: FIFO policy, no resilience
-    runtime.  ``faults`` replays a fault plan with the disarmed engine's
-    failover semantics.  ``scheduler``, when given, receives the
-    lifetime counters the scalar loop's scheduler would end with.
+    guarantees the vectorizable subset: the FIFO policy.  ``faults``
+    replays a fault plan; ``resilience`` arms the resilience runtime
+    (admission, retry budgets, breakers, brownout) and with it the
+    armed engine's failover semantics.  ``scheduler``, when given,
+    receives the lifetime counters the scalar loop's scheduler would end
+    with.
     Returns a :class:`TelemetryCollector` in column mode whose
     ``summary()`` is byte-identical to the scalar engine's.
     """
@@ -664,14 +914,32 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     plan = engine.plan
     cfg = engine.config.scheduler
     arrivals = trace.arrival_ms.tolist()
-    schedule = None
-    if faults is not None:
+    runtime = None
+    if resilience is not None:
+        # Built exactly as the scalar loop builds it: thresholds scale
+        # off one pipeline fill plus one batching window.
+        runtime = ResilienceRuntime(
+            resilience,
+            base_ms=plan.per_image_latency_ms + cfg.window_ms,
+            capacity_fps=plan.throughput_fps,
+            offered=len(trace),
+            num_replicas=len(engine.executors),
+            brownout_plan=engine.brownout_plan)
+    schedule = segment = None
+    if faults is not None or runtime is not None:
         schedule = _FaultSchedule(
             engine, arrivals, trace.request_id,
-            faults.resolve(arrivals[0], arrivals[-1]))
+            faults.resolve(arrivals[0], arrivals[-1])
+            if faults is not None else [], runtime)
+    if runtime is not None:
+        segment = functools.partial(
+            _segment_armed, runtime=runtime, telemetry=telemetry,
+            priority=trace.priority.tolist(), schedule=schedule)
     st = _replay_events(arrivals, len(engine.executors), cfg.queue_depth,
                         cfg.max_batch_size, cfg.window_ms,
-                        plan.image_interval_ms, schedule)
+                        plan.image_interval_ms, schedule, segment)
+    if runtime is not None:
+        runtime.finalize(st.now, telemetry)
     # The scalar loop leaves each executor at its last dispatch's free
     # time; keep that observable state identical.
     for ex, free_ms in zip(engine.executors, st.free):
@@ -679,9 +947,14 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     if schedule is not None:
         schedule.write_back(st)
     if scheduler is not None:
-        refused = schedule.refused if schedule is not None else 0
-        scheduler.num_submitted = len(st.acc) + len(st.rej) + refused
-        scheduler.num_rejected = len(st.rej) + refused
+        # Admission sheds never reach the scheduler; queue-full
+        # rejections and refused resubmissions do.
+        rejected = len(st.rej) + (schedule.refused if schedule is not None
+                                  else 0)
+        if runtime is not None:
+            rejected -= runtime.admission.shed
+        scheduler.num_submitted = len(st.acc) + rejected
+        scheduler.num_rejected = rejected
         scheduler.num_batches = len(st.bd) + (
             schedule.forced_batches if schedule is not None else 0)
 
@@ -704,16 +977,21 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     if schedule is None:
         finishes = np.repeat(bd_np + fill, bs_np) + j_intra * interval
     else:
-        # _execute's `fill = per_image * factor + stall` and
-        # `interval = image_interval * factor`, one value per batch
+        # _execute's fill and interval, one value per batch
         factor_b, stall_b = schedule.batch_params()
-        finishes = (np.repeat(bd_np + (fill * factor_b + stall_b), bs_np)
-                    + j_intra * np.repeat(interval * factor_b, bs_np))
+        fill_b, interval_b = schedule.service(factor_b, stall_b, st.bg)
+        finishes = (np.repeat(bd_np + fill_b, bs_np)
+                    + j_intra * np.repeat(interval_b, bs_np))
+        # Browned-out batches occupy their chips for the degraded
+        # plan's shorter interval.
+        occupancy_b = (np.where(np.asarray(st.bg, dtype=bool),
+                                runtime.brownout_plan.interval_scale, 1.0)
+                       if runtime is not None else None)
 
     # Per-chip busy time: the scalar loop adds `stall + size *
-    # shard_interval * factor` per dispatch in order, so reduce with the
-    # sequential cumsum (pairwise np.sum would round differently and
-    # break byte-identity).
+    # shard_interval * factor * occupancy_scale` per dispatch in order,
+    # so reduce with the sequential cumsum (pairwise np.sum would round
+    # differently and break byte-identity).
     chip_busy: Dict[int, float] = {}
     for ex in engine.executors:
         on = bx_np == ex.index
@@ -723,7 +1001,10 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
         for chip_id, shard in zip(ex.chip_ids, plan.shards):
             vals = sizes * shard.image_interval_ms
             if schedule is not None:
-                vals = stall_b[on] + vals * factor_b[on]
+                vals = vals * factor_b[on]
+                if occupancy_b is not None:
+                    vals = vals * occupancy_b[on]
+                vals = stall_b[on] + vals
             chip_busy[chip_id] = float(np.cumsum(vals)[-1])
 
     batch_size = np.repeat(bs_np, bs_np)
