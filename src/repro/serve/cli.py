@@ -51,7 +51,7 @@ from .deploy import (
     load_search_result,
     render_ab,
 )
-from .engine import ServingConfig, ServingEngine
+from .engine import ENGINES, ServingConfig, ServingEngine
 from .scenarios import get_scenario, parse_faults, scenario_table
 from .scheduler import SchedulerConfig
 from .trace import load_trace, save_trace, synthetic_trace
@@ -128,13 +128,11 @@ def add_serve_parser(subparsers) -> argparse.ArgumentParser:
     fleet.add_argument("--mode", default="auto",
                        choices=["auto", "replica", "layer"],
                        help="sharding mode across chips")
-    fleet.add_argument("--engine", default="auto",
-                       choices=["auto", "scalar", "vectorized"],
-                       help="replay engine: the scalar event loop, the "
-                            "whole-trace vectorized engine (fault plans "
-                            "and --resilience included), or auto "
-                            "(vectorized unless a non-FIFO policy needs "
-                            "the scalar loop — docs/vectorized-replay.md)")
+    fleet.add_argument("--engine", default="vectorized",
+                       choices=list(ENGINES),
+                       help="replay engine: the whole-trace vectorized "
+                            "engine or the scalar event loop it is held "
+                            "byte-identical to (docs/vectorized-replay.md)")
 
     sched = p.add_argument_group("scheduler")
     sched.add_argument("--max-batch", type=int, default=8,
@@ -456,10 +454,7 @@ def _run_serve(args) -> int:
     registry = MetricsRegistry()
     with use_tracer(tracer), use_metrics(registry):
         telemetry = engine.serve(trace, faults=fault_plan)
-    used = f"replay engine: {engine.last_engine}"
-    if engine.engine_fallback_reason:
-        used += f" (auto fell back to scalar: {engine.engine_fallback_reason})"
-    print(used)
+    print(f"replay engine: {engine.last_engine}")
     print()
     print(telemetry.report(slo=slo))
     _write_obs_artifacts(args, tracer, registry)

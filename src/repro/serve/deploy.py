@@ -303,7 +303,7 @@ def engine_from_search(source: Union[str, Path, Mapping, LoadedSearchResult],
                        resilience=None,
                        brownout_policy: Optional[str] = None,
                        brownout_index: Optional[int] = None,
-                       engine: str = "auto"
+                       engine: str = "vectorized"
                        ) -> ServingEngine:
     """A :class:`ServingEngine` serving one operating point of a search.
 
@@ -317,8 +317,8 @@ def engine_from_search(source: Union[str, Path, Mapping, LoadedSearchResult],
 
     ``resilience`` (a :class:`~repro.serve.resilience.ResilienceConfig`)
     arms the resilience runtime for every serve() call on the engine.
-    ``engine`` picks the replay engine (``auto``/``scalar``/
-    ``vectorized``, see docs/vectorized-replay.md).
+    ``engine`` picks the replay engine (``vectorized``/``scalar``, see
+    docs/vectorized-replay.md).
     ``brownout_policy`` selects a *second* point off the same front as
     the degraded brownout plan (usually ``energy-opt`` against a
     ``latency-opt`` primary): its timing is simulated at the engine's

@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core.designer import EpitomeAssignment, uniform_assignment
 from ..core.export import deployments_from_manifest
 from ..models.specs import NetworkSpec, get_network_spec
@@ -53,11 +51,10 @@ __all__ = ["ServingConfig", "ServingEngine", "DEFAULT_WIPE_STALL_FACTOR",
 
 _EPS = 1e-9
 
-# Replay engine choices: "scalar" is the per-request event loop below
-# (the permanent oracle), "vectorized" the whole-trace array engine in
-# repro.serve.vectorized, and "auto" picks vectorized whenever nothing
-# armed needs per-request control flow (docs/vectorized-replay.md).
-ENGINES = ("auto", "scalar", "vectorized")
+# Replay engine choices: "vectorized" is the whole-trace array engine in
+# repro.serve.vectorized, "scalar" the per-request event loop below (the
+# permanent oracle, byte-identical; docs/vectorized-replay.md).
+ENGINES = ("vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,8 @@ class ServingConfig:
     # circuit breakers, brownout) for every serve() call on the engine;
     # None keeps the plain fast path byte-identical to prior releases.
     resilience: Optional[ResilienceConfig] = None
-    # Replay engine: one of ENGINES.  "auto" runs the vectorized engine
-    # when the run arms nothing it cannot express and falls back to the
-    # scalar loop otherwise (recording engine_fallback_reason).
-    engine: str = "auto"
+    # Replay engine: one of ENGINES.
+    engine: str = "vectorized"
 
     def __post_init__(self):
         if self.num_chips < 1:
@@ -96,10 +91,6 @@ class _Executor:
     straggle_factor: float = 1.0
     straggle_until_ms: Optional[float] = None
     pending_stall_ms: float = 0.0       # recompile debt from a cache wipe
-
-    def occupancy_ms(self, batch_size: int) -> float:
-        """Time until the first pipeline stage can accept the next batch."""
-        return batch_size * self.plan.image_interval_ms
 
     def service_factor(self, now_ms: float) -> float:
         """Current service-time multiplier (1.0 healthy; a straggler
@@ -265,11 +256,9 @@ class ServingEngine:
             _Executor(index=replica, chip_ids=ids, plan=self.plan,
                       track=f"replica{replica}")
             for replica, ids in enumerate(self.plan.replica_groups())]
-        # Which replay engine the last serve() actually used, and why
-        # auto fell back to scalar (None on a vectorized or explicit
-        # run) — surfaced by describe() and the serve CLI.
+        # Which replay engine the last serve() used — surfaced by
+        # describe() and the serve CLI.
         self.last_engine: Optional[str] = None
-        self.engine_fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Construction paths
@@ -344,10 +333,6 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    # The event-dispatch loop: no per-event tracing/metrics (the
-    # obs.overhead benchmark gates enabled-mode overhead <5%) and no
-    # per-iteration allocator calls — enforced by the H-rules.
-    # reprolint: hot-loop
     def serve(self, requests: Union[Sequence[Request], TraceArrays],
               tracer: Optional[Tracer] = None,
               metrics: Optional[MetricsRegistry] = None,
@@ -385,17 +370,12 @@ class ServingEngine:
         per run that expands the telemetry records into spans at export
         time — see the ``obs.overhead`` benchmark.
 
-        ``engine`` overrides ``config.engine`` for this call: ``"scalar"``
-        forces the event loop below, ``"vectorized"`` the whole-trace
-        array engine (:mod:`repro.serve.vectorized` — byte-identical
-        summaries, held to that by tests/serve/test_engine_equivalence),
-        and ``"auto"`` picks vectorized unless the run arms per-request
-        control flow it cannot express (a non-FIFO scheduler policy;
-        fault plans and the resilience runtime replay vectorized) — then
-        it falls back to scalar and records
-        :attr:`engine_fallback_reason`.  Requesting
-        ``"vectorized"`` with such a blocker armed raises ``ValueError``
-        rather than silently changing results.  ``requests`` may be a
+        ``engine`` overrides ``config.engine`` for this call:
+        ``"vectorized"`` replays through the whole-trace array engine
+        (:mod:`repro.serve.vectorized`), ``"scalar"`` through the event
+        loop below — byte-identical summaries for every scheduler policy,
+        fault plan and resilience config, held to that by
+        tests/serve/test_engine_equivalence.  ``requests`` may be a
         :class:`~repro.serve.trace.TraceArrays` column trace; the scalar
         path materializes it, the vectorized path consumes it directly.
         """
@@ -409,45 +389,54 @@ class ServingEngine:
         choice = engine if engine is not None else self.config.engine
         if choice not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        blockers = self.config.scheduler.vectorization_blockers()
-        if choice == "vectorized" and blockers:
-            raise ValueError(
-                "vectorized engine cannot express: " + "; ".join(blockers)
-                + " — use engine='scalar' or 'auto'")
-        use_vectorized = (choice == "vectorized"
-                          or (choice == "auto" and not blockers))
-        self.last_engine = "vectorized" if use_vectorized else "scalar"
-        self.engine_fallback_reason = (blockers[0]
-                                       if choice == "auto" and blockers
-                                       else None)
-        if use_vectorized:
-            # Stand-in for the scheduler the scalar loop would have run;
-            # the replay sets the lifetime counters _publish_metrics
-            # folds in.
-            scheduler = MicroBatchScheduler(self.config.scheduler)
+        self.last_engine = choice
+        # Either replay leaves its lifetime counters on this scheduler
+        # for _publish_metrics.
+        scheduler = MicroBatchScheduler(self.config.scheduler)
+        if choice == "vectorized":
             telemetry = replay_vectorized(self, requests, faults=faults,
                                           scheduler=scheduler,
                                           resilience=resilience)
-            if not (telemetry.num_completed or telemetry.num_rejected
-                    or telemetry.num_failed):
-                return telemetry
-            if tracer.enabled:
-                tracks = {ex.chip_ids: (ex.index, ex.track)
-                          for ex in self.executors}
-                tracer.add_source(
-                    lambda: _span_events(telemetry.records, tracks,
-                                         telemetry.fault_events,
-                                         telemetry.resilience_events))
-            self._publish_metrics(telemetry, scheduler, metrics,
-                                  faults_active=faults is not None,
-                                  resilience=telemetry.resilience)
+        else:
+            telemetry = self._replay_scalar(requests, faults, scheduler,
+                                            resilience)
+        if not (telemetry.num_completed or telemetry.num_rejected
+                or telemetry.num_failed):
             return telemetry
+        # Tracing costs the replay loop nothing: the telemetry records
+        # already hold every request's full lifecycle, so an enabled
+        # tracer gets one lazy closure that synthesizes the request and
+        # batch spans if and when they are exported (see
+        # Tracer.add_source and the obs.overhead benchmark).
+        if tracer.enabled:
+            tracks = {ex.chip_ids: (ex.index, ex.track)
+                      for ex in self.executors}
+            tracer.add_source(
+                lambda: _span_events(telemetry.records, tracks,
+                                     telemetry.fault_events,
+                                     telemetry.resilience_events))
+        self._publish_metrics(telemetry, scheduler, metrics,
+                              faults_active=faults is not None,
+                              resilience=telemetry.resilience)
+        return telemetry
 
+    # The scalar event-dispatch loop: no per-event tracing/metrics and
+    # no per-iteration allocator calls — enforced by the H-rules.  Its
+    # hand-inlined controller fast paths exist for the <5% arming gate
+    # (serve.overload_resilience), which replays on this loop.
+    # reprolint: hot-loop
+    def _replay_scalar(self, requests: Union[Sequence[Request],
+                                             TraceArrays],
+                       faults: Optional[FaultPlan],
+                       scheduler: MicroBatchScheduler,
+                       resilience: Optional[ResilienceConfig]
+                       ) -> TelemetryCollector:
+        """The per-request event loop: the permanent oracle the
+        vectorized engine is held byte-identical to."""
         if isinstance(requests, TraceArrays):
             requests = requests.materialize()
         trace = sorted(requests,
                        key=lambda r: (r.arrival_ms, r.request_id))
-        scheduler = MicroBatchScheduler(self.config.scheduler)
         telemetry = TelemetryCollector(num_chips=self.config.num_chips)
         for ex in self.executors:
             ex.reset()
@@ -463,19 +452,7 @@ class ServingEngine:
                                          trace[-1].arrival_ms)
         fault_idx = 0
         retried_ids: set = set()    # retry-once budget (disarmed path)
-        runtime: Optional[ResilienceRuntime] = None
-        if resilience is not None:
-            # All control thresholds scale off the service quantum (one
-            # pipeline fill plus one batching window), so a single
-            # ResilienceConfig transfers across deployments.
-            runtime = ResilienceRuntime(
-                resilience,
-                base_ms=(self.plan.per_image_latency_ms
-                         + self.config.scheduler.window_ms),
-                capacity_fps=self.plan.throughput_fps,
-                offered=n,
-                num_replicas=len(self.executors),
-                brownout_plan=self.brownout_plan)
+        runtime = self._resilience_runtime(resilience, n)
         # Pre-bound hot-path handles: the armed loop touches these once or
         # twice per event, and the lookup chain (runtime -> controller ->
         # method) is measurable against the <5% arming budget enforced by
@@ -678,22 +655,24 @@ class ServingEngine:
                 admission.admitted = adm_admitted
                 admission._refilled = adm_refilled
             runtime.finalize(now, telemetry)
-        # Tracing costs the replay loop nothing: the telemetry records
-        # already hold every request's full lifecycle, so an enabled
-        # tracer gets one lazy closure that synthesizes the request and
-        # batch spans if and when they are exported (see
-        # Tracer.add_source and the obs.overhead benchmark).
-        if tracer.enabled:
-            tracks = {ex.chip_ids: (ex.index, ex.track)
-                      for ex in self.executors}
-            tracer.add_source(
-                lambda: _span_events(telemetry.records, tracks,
-                                     telemetry.fault_events,
-                                     telemetry.resilience_events))
-        self._publish_metrics(telemetry, scheduler, metrics,
-                              faults_active=faults is not None,
-                              resilience=telemetry.resilience)
         return telemetry
+
+    def _resilience_runtime(self, resilience: Optional[ResilienceConfig],
+                            offered: int) -> Optional[ResilienceRuntime]:
+        """One replay's resilience runtime (None when disarmed), for
+        either engine.  All control thresholds scale off the service
+        quantum (one pipeline fill plus one batching window), so a single
+        ResilienceConfig transfers across deployments."""
+        if resilience is None:
+            return None
+        return ResilienceRuntime(
+            resilience,
+            base_ms=(self.plan.per_image_latency_ms
+                     + self.config.scheduler.window_ms),
+            capacity_fps=self.plan.throughput_fps,
+            offered=offered,
+            num_replicas=len(self.executors),
+            brownout_plan=self.brownout_plan)
 
     def _execute(self, executor: _Executor, batch: Batch, now: float,
                  telemetry: TelemetryCollector,
@@ -769,35 +748,22 @@ class ServingEngine:
                                          retried_ids, runtime)
         if fault.kind == "straggler":
             ex = self._executor_for_chip(fault.chip)
-            event = {"kind": "straggler", "at_ms": fault.at_ms,
-                     "chip": fault.chip, "until_ms": fault.until_ms,
-                     "factor": fault.factor,
-                     "label": f"straggler chip={fault.chip} "
-                              f"x{fault.factor:g}"}
             if ex is None or not ex.alive:
-                event["outcome"] = "no-op (chip unowned or dead)"
-            else:
-                ex.straggle_factor = fault.factor
-                ex.straggle_until_ms = fault.until_ms
-                event["replica"] = ex.index
-                event["outcome"] = (f"replica{ex.index} degraded "
-                                    f"{fault.factor:g}x")
-            telemetry.record_fault(event)
+                telemetry.record_fault(fault.event())
+                return False
+            ex.straggle_factor = fault.factor
+            ex.straggle_until_ms = fault.until_ms
+            telemetry.record_fault(fault.event(ex.index))
             return False
         # cache-wipe: every live replica pays a recompile stall on its
         # next dispatch.
-        stall = (fault.stall_ms if fault.stall_ms is not None
-                 else DEFAULT_WIPE_STALL_FACTOR
-                 * self.plan.per_image_latency_ms)
+        stall = fault.wipe_stall_ms(self.plan.per_image_latency_ms)
         touched = 0
         for ex in self.executors:
             if ex.alive:
                 ex.pending_stall_ms += stall
                 touched += 1
-        telemetry.record_fault({
-            "kind": "cache-wipe", "at_ms": fault.at_ms,
-            "stall_ms": stall, "label": "cache-wipe",
-            "outcome": f"{touched} replica(s) stalled {stall:g} ms"})
+        telemetry.record_fault(fault.event(touched=touched, stall_ms=stall))
         return False
 
     def _apply_chip_kill(self, fault: ResolvedFault,
@@ -810,14 +776,8 @@ class ServingEngine:
         retraction draws on the run's retry budget and backs off before
         resubmitting; disarmed, the legacy retry-once set applies."""
         ex = self._executor_for_chip(fault.chip)
-        event = {"kind": "chip-kill", "at_ms": fault.at_ms,
-                 "chip": fault.chip,
-                 "label": f"chip-kill chip={fault.chip}"}
         if ex is None or not ex.alive:
-            event.update(outcome="no-op (chip unowned or already dead)",
-                         failover=False, requeued=0, lost=0,
-                         retried_ids=())
-            telemetry.record_fault(event)
+            telemetry.record_fault(fault.event())
             return not any(e.alive for e in self.executors)
         ex.alive = False
         # Completions are recorded eagerly at dispatch; retract every
@@ -827,7 +787,7 @@ class ServingEngine:
                     and r.finish_ms > fault.at_ms + _EPS]
         telemetry.drop_records(inflight)
         survivors = any(e.alive for e in self.executors)
-        requeued = lost = 0
+        lost = 0
         requeued_ids = []
         for rec in sorted(inflight,
                           key=lambda r: (r.arrival_ms, r.request_id)):
@@ -839,7 +799,6 @@ class ServingEngine:
                                 model=rec.model),
                         fault.at_ms):
                     telemetry.record_retry(rec.request_id)
-                    requeued += 1
                     requeued_ids.append(rec.request_id)
                 else:
                     telemetry.record_failure(rec.request_id)
@@ -855,18 +814,13 @@ class ServingEngine:
                     model=rec.model))
                 if resubmitted:
                     telemetry.record_retry(rec.request_id)
-                    requeued += 1
                     requeued_ids.append(rec.request_id)
                     continue
             telemetry.record_failure(rec.request_id)
             lost += 1
-        event.update(
-            outcome=(f"replica{ex.index} down; {requeued} retried, "
-                     f"{lost} lost" if survivors
-                     else f"replica{ex.index} down; fleet offline"),
-            replica=ex.index, failover=survivors, requeued=requeued,
-            lost=lost, retried_ids=tuple(requeued_ids))
-        telemetry.record_fault(event)
+        telemetry.record_fault(fault.event(
+            ex.index, survivors=survivors, requeued_ids=requeued_ids,
+            lost=lost))
         return not survivors
 
     def _publish_metrics(self, telemetry: TelemetryCollector,
@@ -1027,8 +981,6 @@ class ServingEngine:
         engine_line = f"engine: {self.config.engine}"
         if self.last_engine is not None:
             engine_line += f"; last run: {self.last_engine}"
-            if self.engine_fallback_reason:
-                engine_line += f" (fallback: {self.engine_fallback_reason})"
         return "\n".join(header + [
             f"deployment: {len(r.layers)} layers, {r.num_crossbars} "
             f"crossbars, fill latency {r.latency_ms:.3f} ms, "

@@ -74,9 +74,6 @@ class ResilienceRuntime:
     def pop_retry(self) -> Request:
         return heapq.heappop(self.retry_heap)[2]
 
-    def next_retry_ms(self) -> float:
-        return self.retry_heap[0][0]
-
     # ---- breakers -----------------------------------------------------
     def note_dispatch(self, replica: int, now_ms: float,
                       service_factor: float, telemetry) -> None:

@@ -157,6 +157,50 @@ class ResolvedFault:
     until_ms: Optional[float]
     stall_ms: Optional[float]
 
+    def wipe_stall_ms(self, fill_ms: float) -> float:
+        """A cache wipe's recompile stall: the pinned ``stall_ms``, else
+        DEFAULT_WIPE_STALL_FACTOR x the deployment's fill latency."""
+        return (self.stall_ms if self.stall_ms is not None
+                else DEFAULT_WIPE_STALL_FACTOR * fill_ms)
+
+    def event(self, replica: Optional[int] = None, *, touched: int = 0,
+              stall_ms: float = 0.0, survivors: bool = False,
+              requeued_ids: Sequence[int] = (), lost: int = 0) -> Dict:
+        """This fault's telemetry record once applied, for both replay
+        engines.  ``replica`` is the group hit (None: a no-op on an
+        unowned or dead chip); a cache wipe reports the ``touched``
+        replica count and ``stall_ms``, a chip kill its failover."""
+        if self.kind == "cache-wipe":
+            return {"kind": self.kind, "at_ms": self.at_ms,
+                    "stall_ms": stall_ms, "label": self.kind,
+                    "outcome": f"{touched} replica(s) stalled "
+                               f"{stall_ms:g} ms"}
+        event = {"kind": self.kind, "at_ms": self.at_ms, "chip": self.chip}
+        if self.kind == "straggler":
+            event.update(until_ms=self.until_ms, factor=self.factor,
+                         label=f"straggler chip={self.chip} "
+                               f"x{self.factor:g}")
+            if replica is None:
+                event["outcome"] = "no-op (chip unowned or dead)"
+            else:
+                event.update(replica=replica,
+                             outcome=f"replica{replica} degraded "
+                                     f"{self.factor:g}x")
+            return event
+        event["label"] = f"chip-kill chip={self.chip}"
+        if replica is None:
+            event.update(outcome="no-op (chip unowned or already dead)",
+                         failover=False, requeued=0, lost=0,
+                         retried_ids=())
+            return event
+        outcome = (f"{len(requeued_ids)} retried, {lost} lost" if survivors
+                   else "fleet offline")
+        event.update(outcome=f"replica{replica} down; {outcome}",
+                     replica=replica, failover=survivors,
+                     requeued=len(requeued_ids), lost=lost,
+                     retried_ids=tuple(requeued_ids))
+        return event
+
 
 class FaultPlan:
     """An ordered set of declared faults, replayable onto any trace."""

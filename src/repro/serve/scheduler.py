@@ -63,16 +63,6 @@ class SchedulerConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
 
-    def vectorization_blockers(self) -> List[str]:
-        """Reasons the vectorized replay engine cannot honor this
-        config (empty when it can).  FIFO collapses batch formation to a
-        head pointer over the accepted-arrival order; any other policy
-        reorders per request, which only the scalar loop expresses."""
-        if self.policy != "fifo":
-            return [f"scheduler policy {self.policy!r} reorders "
-                    "per-request"]
-        return []
-
 
 @dataclass(frozen=True)
 class Batch:
@@ -205,10 +195,10 @@ class MicroBatchScheduler:
                    ) -> Optional[Batch]:
         """Release the next micro-batch, or None if nothing is ready.
 
-        ``force=True`` drains a partial batch regardless of the window —
-        a shutdown/flush hook for callers that want to empty the queue
-        early.  The engine itself never forces: end-of-trace partial
-        batches drain through normal window expiry.
+        ``force=True`` drains a partial batch regardless of the window.
+        Both replay engines force only on a total outage, to fail the
+        queue in release order; end-of-trace partial batches drain
+        through normal window expiry.
         """
         if not self._live:
             return None

@@ -7,11 +7,12 @@ Python dispatch.  This module replays the *same* discrete-event process
 in two phases sized for web-scale traces:
 
 - **Phase A** (:func:`_replay_events`): a pass over the event timeline
-  using primitive lists only.  Under the FIFO policy (the vectorizable
-  subset) the scheduler state collapses to a head pointer into the
-  accepted-index list — no ``Request`` objects, no heaps, no per-event
-  allocations.  The pass
-  emits *batch* columns (dispatch time, size, executor), the
+  using primitive lists only.  Under the FIFO policy the scheduler
+  state collapses to a head pointer into the accepted-index list — no
+  ``Request`` objects, no heaps, no per-event allocations; under the
+  priority policy :func:`_segment_priority` queues row tokens on the
+  run's own :class:`~repro.serve.scheduler.MicroBatchScheduler`.  The
+  pass emits *batch* columns (dispatch time, size, executor), the
   accepted/rejected index sets, and the per-event queue-depth series.
   A fault plan cuts the pass into *segments* at fault boundaries: each
   segment runs the event loop until the next fault (or straggler
@@ -37,8 +38,8 @@ in both engines, chip busy totals accumulate left-to-right
 ``_EPS`` slack.  The differential harness in
 ``tests/serve/test_engine_equivalence.py`` holds the scalar engine as
 the permanent oracle and asserts ``summary()`` equality across the
-scenario catalog, with and without fault plans and the resilience
-runtime;
+scenario catalog under both scheduler policies, with and without fault
+plans and the resilience runtime;
 docs/vectorized-replay.md maps each event-loop rule to its array-pass
 twin.
 """
@@ -52,11 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .resilience import ResilienceConfig, ResilienceRuntime
-from .scenarios.faults import (
-    DEFAULT_WIPE_STALL_FACTOR,
-    FaultPlan,
-    ResolvedFault,
-)
+from .scenarios.faults import FaultPlan, ResolvedFault
 from .scheduler import MicroBatchScheduler
 from .telemetry import TelemetryCollector
 from .trace import (
@@ -76,7 +73,9 @@ class _EventState:
     """Everything Phase A carries from one event to the next.
 
     ``acc[head:head + depth]`` is the FIFO queue (trace indices in
-    submission order).  ``next_arr`` mirrors ``arr[i]`` (``_INF`` once
+    submission order); under the priority policy the scheduler holds the
+    queue and ``acc`` lists the rows it released, in release order, with
+    ``head`` at its end.  ``next_arr`` mirrors ``arr[i]`` (``_INF`` once
     drained) and ``head_dl`` the batching-window deadline of the queue
     head whenever ``depth > 0``.  Failover resubmissions are appended
     as blocks starting at ``rq_starts``; while the head is below
@@ -163,9 +162,11 @@ def _replay_events(arrivals: List[float], num_executors: int,
     Between segments ``faults`` adds its own event candidate and
     applies what is due at the top of the next event.
 
-    ``segment`` replaces the disarmed loop (a resilience-armed run
-    passes :func:`_segment_armed`, whose candidates include the retry
-    backoff heap's top, so the drained test below needs no heap check).
+    ``segment`` replaces the disarmed FIFO loop (a resilience-armed
+    FIFO run passes :func:`_segment_armed`, a priority run
+    :func:`_segment_priority`; both count the retry backoff heap's top
+    among their candidates, so the drained test below needs no heap
+    check).
     """
     n = len(arrivals)
     st = _EventState(arrivals[0], num_executors, image_interval_ms)
@@ -554,6 +555,105 @@ def _segment_armed(arr: List[float], st: _EventState, cap: int, full: int,
     return nxt
 
 
+# reprolint: hot-loop -- priority event pass: scheduler calls per event
+def _segment_priority(arr: List[float], st: _EventState, cap: int,
+                      full: int, window: float, thr: float, *,
+                      queue: MicroBatchScheduler, priority: List[int],
+                      runtime: Optional[ResilienceRuntime] = None,
+                      telemetry: Optional[TelemetryCollector] = None,
+                      schedule: Optional["_FaultSchedule"] = None) -> float:
+    """Event segment under the priority policy, plain, faulted or armed.
+
+    The queue is the run's own ``queue`` fed row tokens
+    (``Request(request_id=<trace row>)``): its heaps keep the
+    ``(-priority, seq)`` release order, anchor the window on the oldest
+    queued request of any class and rebuild lazily, and its config holds
+    ``cap`` / ``full`` / ``window``.  Released rows go to ``st.acc`` in
+    release order.  The rest is the scalar loop's per-event order,
+    calling the same controllers when ``runtime`` is armed.
+    """
+    n = len(arr)
+    free = st.free
+    retry_heap = runtime.retry_heap if runtime is not None else ()
+    now = st.now
+    i = st.i
+    next_arr = st.next_arr
+    while True:
+        lim = now + _EPS
+        while retry_heap and retry_heap[0][0] <= lim:
+            request = runtime.pop_retry()
+            k = schedule.pending.pop(id(request))
+            if schedule.resubmit(st, k):
+                continue
+            if runtime.try_schedule_retry(request, now):
+                schedule.pending[id(request)] = k
+                schedule.retried.append(request.request_id)
+            else:
+                schedule.failed.append(request.request_id)
+        while next_arr <= lim:
+            admitted = True
+            if runtime is not None:
+                oldest = queue.oldest_arrival_ms()
+                delay = now - oldest if oldest is not None else 0.0
+                runtime.update_brownout(now, delay, telemetry)
+                admitted = runtime.admit(now, delay, priority[i])
+            if not (admitted
+                    and queue.submit(Request(i, next_arr, priority[i]))):
+                st.rej.append(i)
+            i += 1
+            next_arr = arr[i] if i < n else _INF
+        while queue.has_ready_batch(now):
+            idle = [e for e, f in enumerate(free) if f <= lim]
+            if not idle:
+                break
+            if runtime is not None and runtime.open_episodes:
+                healthy = [e for e in idle
+                           if runtime.breakers[e].allows(now)]
+                if healthy:
+                    idle = healthy
+                elif runtime.open_episodes < sum(f < _INF for f in free):
+                    break       # healthy capacity is busy or cooling down
+                else:
+                    runtime.fail_open_batches += 1
+            best = min(idle, key=free.__getitem__)
+            batch = queue.next_batch(now)
+            step = st.ivl[best]
+            if runtime is not None:
+                runtime.note_dispatch(best, now, schedule.factor[best],
+                                      telemetry)
+                if runtime.degraded:
+                    step *= runtime.brownout_plan.interval_scale
+                    runtime.degraded_completions += batch.size
+                st.bg.append(runtime.degraded)
+            st.bd.append(now)
+            st.bs.append(batch.size)
+            st.bx.append(best)
+            free[best] = now + st.stall[best] + batch.size * step
+            st.stall[best] = 0.0
+            st.acc.extend(request.request_id for request in batch.requests)
+        depth = len(queue)
+        st.ev_t.append(now)
+        st.ev_d.append(depth)
+        candidates = [next_arr]
+        if retry_heap:
+            candidates.append(retry_heap[0][0])
+        if depth:
+            candidates += [queue.next_timeout_ms(), *free]
+            if runtime is not None and runtime.open_episodes:
+                candidates += [b.open_until_ms for b in runtime.breakers
+                               if b.is_open]
+        nxt = min((t for t in candidates if t > lim), default=_INF)
+        if nxt >= thr:
+            break
+        now = nxt
+    st.now = now
+    st.i = i
+    st.depth = depth
+    st.head = len(st.acc)
+    st.next_arr = next_arr
+    return nxt
+
+
 def _fire_threshold(at_ms: float) -> float:
     """Smallest event time ``t`` with ``t + _EPS >= at_ms`` — the
     scalar loop's firing test, inverted once so a segment can compare
@@ -585,7 +685,9 @@ class _FaultSchedule:
     granted ones on the runtime's backoff heap (``pending`` maps each
     parked request back to its trace row); a total outage also fails
     the heap, and batch timing follows the brownout plan on batches
-    dispatched browned out.
+    dispatched browned out.  Under the priority policy ``queue`` is the
+    scheduler :func:`_segment_priority` queues on: :meth:`resubmit`
+    hands it the row and a total outage drains it in release order.
 
     Also records what Phase B needs: per-batch straggler factor and
     stall (one column chunk per segment), the retracted row positions,
@@ -594,10 +696,14 @@ class _FaultSchedule:
 
     def __init__(self, engine, arrivals: List[float],
                  request_ids: np.ndarray, faults: List[ResolvedFault],
-                 runtime: Optional[ResilienceRuntime] = None):
+                 runtime: Optional[ResilienceRuntime] = None,
+                 queue: Optional[MicroBatchScheduler] = None,
+                 priority: Optional[List[int]] = None):
         cfg = engine.config.scheduler
         self.engine = engine
         self.runtime = runtime
+        self.queue = queue
+        self.priority = priority
         self.brownout_plan = runtime.brownout_plan if runtime is not None \
             else None
         self.retry_heap = runtime.retry_heap if runtime is not None else ()
@@ -735,36 +841,43 @@ class _FaultSchedule:
 
     def _straggle(self, fault: ResolvedFault, st: _EventState) -> None:
         ex = self.engine._executor_for_chip(fault.chip)
-        event = {"kind": "straggler", "at_ms": fault.at_ms,
-                 "chip": fault.chip, "until_ms": fault.until_ms,
-                 "factor": fault.factor,
-                 "label": f"straggler chip={fault.chip} "
-                          f"x{fault.factor:g}"}
         if ex is None or not ex.alive:
-            event["outcome"] = "no-op (chip unowned or dead)"
-        else:
-            e = ex.index
-            self.factor[e] = fault.factor
-            self.until[e] = fault.until_ms
-            self.straggle[e] = (fault.factor, fault.until_ms)
-            self.lapsed[e] = None
-            st.ivl[e] = self.interval * fault.factor
-            event["replica"] = e
-            event["outcome"] = f"replica{e} degraded {fault.factor:g}x"
-        self.events.append(event)
+            self.events.append(fault.event())
+            return
+        e = ex.index
+        self.factor[e] = fault.factor
+        self.until[e] = fault.until_ms
+        self.straggle[e] = (fault.factor, fault.until_ms)
+        self.lapsed[e] = None
+        st.ivl[e] = self.interval * fault.factor
+        self.events.append(fault.event(e))
 
     def _wipe(self, fault: ResolvedFault, st: _EventState) -> None:
-        stall = (fault.stall_ms if fault.stall_ms is not None
-                 else DEFAULT_WIPE_STALL_FACTOR * self.per_image)
+        stall = fault.wipe_stall_ms(self.per_image)
         touched = 0
         for ex in self.engine.executors:
             if ex.alive:
                 st.stall[ex.index] += stall
                 touched += 1
-        self.events.append({
-            "kind": "cache-wipe", "at_ms": fault.at_ms,
-            "stall_ms": stall, "label": "cache-wipe",
-            "outcome": f"{touched} replica(s) stalled {stall:g} ms"})
+        self.events.append(fault.event(touched=touched, stall_ms=stall))
+
+    def resubmit(self, st: _EventState, k: int) -> bool:
+        """Queue trace row ``k`` again under the cap, as the scalar
+        loop's ``scheduler.submit`` would; a full queue refuses it.
+        FIFO appends the row to the accepted list (the caller marks the
+        resubmission block); priority hands the scheduler its token."""
+        if self.queue is not None:
+            accepted = self.queue.submit(Request(k, self.arr[k],
+                                                 self.priority[k]))
+        else:
+            accepted = st.depth < self.cap
+            if accepted:
+                st.acc.append(k)
+        if accepted:
+            st.depth += 1
+        else:
+            self.refused += 1
+        return accepted
 
     def _inflight(self, st: _EventState, replica: int,
                   after_ms: float) -> List[int]:
@@ -793,14 +906,8 @@ class _FaultSchedule:
         in-flight rows (retry-once); True on a total outage."""
         executors = self.engine.executors
         ex = self.engine._executor_for_chip(fault.chip)
-        event = {"kind": "chip-kill", "at_ms": fault.at_ms,
-                 "chip": fault.chip,
-                 "label": f"chip-kill chip={fault.chip}"}
         if ex is None or not ex.alive:
-            event.update(outcome="no-op (chip unowned or already dead)",
-                         failover=False, requeued=0, lost=0,
-                         retried_ids=())
-            self.events.append(event)
+            self.events.append(fault.event())
             return not any(e.alive for e in executors)
         ex.alive = False
         e = ex.index
@@ -809,7 +916,7 @@ class _FaultSchedule:
         rows = self._inflight(st, e, fault.at_ms + _EPS)
         self.retracted.extend(rows)
         survivors = any(x.alive for x in executors)
-        requeued = lost = 0
+        lost = 0
         requeued_ids = []
         for idx in sorted(st.acc[p] for p in rows):
             rid = int(self.rid[idx])
@@ -821,7 +928,6 @@ class _FaultSchedule:
                                                        fault.at_ms):
                         self.pending[id(request)] = idx
                         self.retried.append(rid)
-                        requeued += 1
                         requeued_ids.append(rid)
                         continue
                 self.failed.append(rid)
@@ -829,33 +935,28 @@ class _FaultSchedule:
                 continue
             if survivors and rid not in self.retried_ids:
                 self.retried_ids.add(rid)
-                if st.depth < self.cap:
-                    st.acc.append(idx)
-                    st.depth += 1
+                if self.resubmit(st, idx):
                     self.retried.append(rid)
-                    requeued += 1
                     requeued_ids.append(rid)
                     continue
-                self.refused += 1
             self.failed.append(rid)
             lost += 1
-        if requeued and self.runtime is None:
-            st.rq_starts.append(len(st.acc) - requeued)
+        if requeued_ids and self.runtime is None and self.queue is None:
+            st.rq_starts.append(len(st.acc) - len(requeued_ids))
             st.rq_end = len(st.acc)
             st.head_dl = (_oldest(self.arr, st.acc, st.head, st.rq_starts)
                           + self.window)
-        event.update(
-            outcome=(f"replica{e} down; {requeued} retried, {lost} lost"
-                     if survivors else f"replica{e} down; fleet offline"),
-            replica=e, failover=survivors, requeued=requeued, lost=lost,
-            retried_ids=tuple(requeued_ids))
-        self.events.append(event)
+        self.events.append(fault.event(e, survivors=survivors,
+                                       requeued_ids=requeued_ids, lost=lost))
         return not survivors
 
     def _outage(self, st: _EventState) -> None:
         """Total outage: the queue (in release order, drained by forced
         batches), then the retries still backing off (in heap order),
         then every request still to arrive, fails."""
+        while self.queue is not None and not self.queue.empty:
+            batch = self.queue.next_batch(st.now, force=True)
+            st.acc.extend(request.request_id for request in batch.requests)
         queued = st.acc[st.head:st.head + st.depth]
         self.failed.extend(self.rid[queued].tolist())
         self.forced_batches += -(-st.depth // self.full)
@@ -891,15 +992,13 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     """Replay a trace through ``engine``'s deployment as array passes.
 
     Accepts either an object trace or :class:`TraceArrays` (the
-    web-scale form — a million-request replay never builds a
-    million ``Request`` objects).  The caller
-    (:meth:`ServingEngine.serve` with the vectorized engine selected)
-    guarantees the vectorizable subset: the FIFO policy.  ``faults``
-    replays a fault plan; ``resilience`` arms the resilience runtime
-    (admission, retry budgets, breakers, brownout) and with it the
-    armed engine's failover semantics.  ``scheduler``, when given,
-    receives the lifetime counters the scalar loop's scheduler would end
-    with.
+    web-scale form — a million-request FIFO replay never builds a
+    million ``Request`` objects).  ``faults`` replays a fault plan;
+    ``resilience`` arms the resilience runtime (admission, retry
+    budgets, breakers, brownout) and with it the armed engine's
+    failover semantics.  ``scheduler``, when given, receives the
+    lifetime counters the scalar loop's scheduler would end with (and
+    is the queue a priority-policy replay runs on).
     Returns a :class:`TelemetryCollector` in column mode whose
     ``summary()`` is byte-identical to the scalar engine's.
     """
@@ -914,24 +1013,23 @@ def replay_vectorized(engine, requests: Union[Sequence[Request],
     plan = engine.plan
     cfg = engine.config.scheduler
     arrivals = trace.arrival_ms.tolist()
-    runtime = None
-    if resilience is not None:
-        # Built exactly as the scalar loop builds it: thresholds scale
-        # off one pipeline fill plus one batching window.
-        runtime = ResilienceRuntime(
-            resilience,
-            base_ms=plan.per_image_latency_ms + cfg.window_ms,
-            capacity_fps=plan.throughput_fps,
-            offered=len(trace),
-            num_replicas=len(engine.executors),
-            brownout_plan=engine.brownout_plan)
+    runtime = engine._resilience_runtime(resilience, len(trace))
+    queue = priority = None
+    if cfg.policy == "priority":
+        queue = scheduler if scheduler is not None \
+            else MicroBatchScheduler(cfg)
+        priority = trace.priority.tolist()
     schedule = segment = None
     if faults is not None or runtime is not None:
         schedule = _FaultSchedule(
             engine, arrivals, trace.request_id,
             faults.resolve(arrivals[0], arrivals[-1])
-            if faults is not None else [], runtime)
-    if runtime is not None:
+            if faults is not None else [], runtime, queue, priority)
+    if queue is not None:
+        segment = functools.partial(
+            _segment_priority, queue=queue, priority=priority,
+            runtime=runtime, telemetry=telemetry, schedule=schedule)
+    elif runtime is not None:
         segment = functools.partial(
             _segment_armed, runtime=runtime, telemetry=telemetry,
             priority=trace.priority.tolist(), schedule=schedule)

@@ -33,13 +33,16 @@ Coverage is five-pronged:
   the same observables plus the resilience transition events, the
   run's resilience stats, exported spans and metrics.
 
-The armed-mode tests pin the fallback contract: a non-FIFO policy must
-*never* silently change results — ``auto`` falls back to the scalar
-loop (and says why), and asking for ``vectorized`` explicitly is a hard
-error.  Fault plans and the resilience runtime replay vectorized.
+The catalog matrix (with priority golden summaries), random plain /
+faulted / armed cases and hand-picked edges (starvation, outage, a due
+retry meeting a full queue) run again under the priority policy, and
+the engine-choice tests pin that no run falls back: the default engine
+replays every policy, fault plan and resilience config vectorized.
 """
 
+import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -671,40 +674,42 @@ class TestArmedEdges:
                                 faults, resilience=ResilienceConfig())
 
 
+def random_resilience_config(rng):
+    """A random ResilienceConfig spanning every controller's knobs."""
+    enter = float(rng.uniform(1.0, 8.0))
+    base = float(rng.uniform(0.1, 4.0))
+    return ResilienceConfig(
+        admission=AdmissionPolicy(
+            target_factor=float(rng.uniform(0.2, 6.0)),
+            interval_factor=float(rng.uniform(0.2, 8.0)),
+            rate_headroom=float(rng.uniform(0.3, 2.0)),
+            burst=int(rng.integers(1, 64)),
+            protect_priority=int(rng.integers(0, 4))),
+        retry=RetryPolicy(
+            budget_fraction=float(rng.uniform(0.01, 1.0)),
+            max_attempts=int(rng.integers(1, 5)),
+            base_factor=base,
+            cap_factor=base * float(rng.uniform(1.0, 16.0)),
+            jitter=float(rng.uniform(0.0, 1.0))),
+        breaker=BreakerPolicy(
+            slow_factor=float(rng.uniform(1.1, 4.0)),
+            trip_after=int(rng.integers(1, 4)),
+            cooldown_factor=float(rng.uniform(0.2, 16.0))),
+        brownout=BrownoutPolicy(
+            enter_factor=enter,
+            exit_factor=enter * float(rng.uniform(0.0, 0.9)),
+            enter_hold_factor=float(rng.uniform(0.0, 4.0)),
+            exit_hold_factor=float(rng.uniform(0.0, 8.0)),
+            interval_scale=float(rng.uniform(0.4, 1.5)),
+            fill_scale=float(rng.uniform(0.6, 2.0))),
+        seed=int(rng.integers(0, 1000)))
+
+
 class TestRandomArmedPlans:
     """Property tests: random resilience configs x fault plans x
     traces."""
 
     N_CASES = 120
-
-    def _config(self, rng):
-        enter = float(rng.uniform(1.0, 8.0))
-        base = float(rng.uniform(0.1, 4.0))
-        return ResilienceConfig(
-            admission=AdmissionPolicy(
-                target_factor=float(rng.uniform(0.2, 6.0)),
-                interval_factor=float(rng.uniform(0.2, 8.0)),
-                rate_headroom=float(rng.uniform(0.3, 2.0)),
-                burst=int(rng.integers(1, 64)),
-                protect_priority=int(rng.integers(0, 4))),
-            retry=RetryPolicy(
-                budget_fraction=float(rng.uniform(0.01, 1.0)),
-                max_attempts=int(rng.integers(1, 5)),
-                base_factor=base,
-                cap_factor=base * float(rng.uniform(1.0, 16.0)),
-                jitter=float(rng.uniform(0.0, 1.0))),
-            breaker=BreakerPolicy(
-                slow_factor=float(rng.uniform(1.1, 4.0)),
-                trip_after=int(rng.integers(1, 4)),
-                cooldown_factor=float(rng.uniform(0.2, 16.0))),
-            brownout=BrownoutPolicy(
-                enter_factor=enter,
-                exit_factor=enter * float(rng.uniform(0.0, 0.9)),
-                enter_hold_factor=float(rng.uniform(0.0, 4.0)),
-                exit_hold_factor=float(rng.uniform(0.0, 8.0)),
-                interval_scale=float(rng.uniform(0.4, 1.5)),
-                fill_scale=float(rng.uniform(0.6, 2.0))),
-            seed=int(rng.integers(0, 1000)))
 
     def test_random_armed_plans_agree(self, report):
         rng = np.random.default_rng(20261017)
@@ -727,7 +732,7 @@ class TestRandomArmedPlans:
                 priority=rng.integers(0, 3, size=n).astype(np.int64))
             plan = random_fault_plan(rng, num_chips,
                                      engine.plan.image_interval_ms)
-            config = self._config(rng)
+            config = random_resilience_config(rng)
             assert_same_faulted_run(
                 engine, trace, plan,
                 f"case {case} (n={n}, chips={num_chips}, sched={sched})",
@@ -775,106 +780,239 @@ class TestArmedObservability:
         assert "ok (chrome-trace)" in out and "ok (prometheus)" in out
 
 
+def with_priority_policy(engine):
+    """``engine``'s deployment, fleet and brownout plan behind the
+    priority scheduler (same batching knobs)."""
+    config = dataclasses.replace(
+        engine.config, scheduler=dataclasses.replace(
+            engine.config.scheduler, policy="priority"))
+    twin = ServingEngine(engine.report, config, engine.hardware, engine.lut)
+    twin.brownout_plan = engine.brownout_plan
+    return twin
+
+
+def priority_trace(engine, name, seed, n=2000, load=0.9):
+    """A catalog trace relabelled with three seeded priority classes, so
+    the ``(-priority, seq)`` release order really reorders the queue."""
+    trace = armed_trace(engine, name, seed, n=n, load=load)
+    levels = np.random.default_rng(seed).integers(0, 3, size=n)
+    return dataclasses.replace(trace, priority=levels.astype(np.int64))
+
+
+@pytest.fixture(scope="module")
+def priority_fleets(report, chaos_fleet):
+    """Per leg: the priority-policy fleet, its fault plan and whether
+    the resilience runtime is armed."""
+    plain = make_engine(report, policy="priority")
+    return {"plain": (plain, None, False),
+            "faults": (plain, CHAOS_PLAN, False),
+            "armed": (with_priority_policy(chaos_fleet), ARMED_CHAOS_PLAN,
+                      True)}
+
+
+PRIORITY_LEGS = ("plain", "faults", "armed")
+
+
+class TestPriorityCatalogMatrix:
+    """The catalog under the priority policy — plain, under the chaos
+    fault plan, and armed on the chaos fleet — against golden summaries
+    generated from the scalar oracle before priority was vectorized."""
+
+    def _run(self, fleets, leg, name, seed):
+        engine, faults, armed = fleets[leg]
+        return assert_same_faulted_run(
+            engine, priority_trace(engine, name, seed), faults,
+            f"priority-{leg}-{name}-seed{seed}",
+            resilience=ResilienceConfig(seed=seed) if armed else None)
+
+    @pytest.mark.parametrize("leg", PRIORITY_LEGS)
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_matches_priority_golden_summary(self, priority_fleets, name,
+                                             leg, update_goldens):
+        state = self._run(priority_fleets, leg, name, seed=3)
+        summary = json.loads(state["summary"])
+        assert summary["completed"] > 0
+        path = GOLDEN_DIR / f"priority-{leg}-{name}-seed3.json"
+        rendered = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        if update_goldens:
+            path.write_text(rendered)
+        assert path.exists(), (
+            f"golden fixture {path.name} missing — run "
+            f"pytest --update-goldens to create it")
+        assert rendered == path.read_text(), (
+            f"priority summary drifted from golden {path.name}")
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("leg", PRIORITY_LEGS)
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_priority_runs_identical(self, priority_fleets, name, leg,
+                                     seed):
+        self._run(priority_fleets, leg, name, seed)
+
+
+class TestRandomPriorityRuns:
+    """Property tests: the priority policy over random traces, scheduler
+    configs and 1/2/4-executor fleets, with and without random fault
+    plans, armed and disarmed."""
+
+    N_CASES = 120
+
+    def test_random_priority_runs_agree(self, report):
+        rng = np.random.default_rng(20261018)
+        drawn = Counter()
+        for case in range(self.N_CASES):
+            num_chips = int(rng.choice([1, 2, 4]))
+            sched = SchedulerConfig(
+                max_batch_size=int(rng.integers(1, 12)),
+                window_ms=float(rng.choice([0.0, 0.5, 2.0, 8.0])),
+                queue_depth=int(rng.integers(1, 64)),
+                policy="priority")
+            engine = ServingEngine(report, ServingConfig(
+                num_chips=num_chips, scheduler=sched))
+            n = int(rng.integers(1, 200))
+            gaps = rng.lognormal(mean=float(rng.uniform(-3.0, 0.5)),
+                                 sigma=1.0, size=n)
+            arrivals = np.cumsum(gaps) * engine.plan.image_interval_ms
+            trace = TraceArrays(
+                arrival_ms=np.asarray(arrivals, dtype=np.float64),
+                request_id=np.arange(n, dtype=np.int64),
+                priority=rng.integers(0, 4, size=n).astype(np.int64))
+            plan = (random_fault_plan(rng, num_chips,
+                                      engine.plan.image_interval_ms)
+                    if rng.random() < 0.5 else None)
+            config = (random_resilience_config(rng)
+                      if rng.random() < 0.5 else None)
+            assert_same_faulted_run(
+                engine, trace, plan,
+                f"case {case} (n={n}, chips={num_chips}, sched={sched})",
+                resilience=config)
+            drawn[num_chips, plan is not None, config is not None] += 1
+        # every fleet size meets every faulted x armed combination
+        assert len(drawn) == 12, drawn
+
+
+class TestPriorityEdges:
+    """Hand-picked priority-policy boundaries."""
+
+    def test_starved_request_anchors_the_window(self, report):
+        """A low-priority request queued behind a burst of high-priority
+        ones is overtaken by every one of them, yet the batching window
+        stays anchored to its arrival: a high-priority straggler that
+        joins it is released at the low request's deadline, not its
+        own.  The burst outnumbers the live queue enough that the
+        scheduler rebuilds its arrival heap while the request starves."""
+        engine = make_engine(report, num_chips=1, max_batch_size=3,
+                             window_ms=400.0, policy="priority")
+        burst = 30
+        requests = [Request(request_id=0, arrival_ms=0.0, priority=0)]
+        requests += [Request(request_id=i, arrival_ms=0.0, priority=2)
+                     for i in range(1, burst + 1)]
+        late = 300.0
+        requests.append(Request(request_id=burst + 1, arrival_ms=late,
+                                priority=2))
+        state = assert_same_faulted_run(engine, requests, None)
+        start = {r.request_id: r.start_ms for r in state["records"]}
+        assert start[0] > max(start[i] for i in range(1, burst + 1))
+        # the straggler waits for the starved request's deadline, which
+        # falls before its own
+        assert start[burst + 1] == start[0] == 400.0 < late + 400.0
+
+    def test_total_outage_fails_queue_in_release_order(self, report):
+        engine = make_engine(report, max_batch_size=4, window_ms=8.0,
+                             queue_depth=128, policy="priority")
+        trace = synthetic_trace_arrays(
+            600, rate_rps=1.5 * engine.plan.throughput_fps, seed=7,
+            priority_levels=3)
+        state = assert_same_faulted_run(
+            engine, trace, "chip-kill@t=0.4:chip=0,chip-kill@t=0.6:chip=1")
+        assert len(state["failed"]) > 100
+
+    def test_armed_due_retry_meets_full_queue(self, report):
+        engine = make_engine(report, queue_depth=4, max_batch_size=4,
+                             policy="priority")
+        trace = synthetic_trace_arrays(
+            600, rate_rps=3.0 * engine.plan.throughput_fps, seed=7,
+            priority_levels=3)
+        state = assert_same_faulted_run(
+            engine, trace, "chip-kill@t=0.5:chip=1",
+            resilience=ResilienceConfig(
+                admission=TestArmedEdges.OPEN_GATE))
+        requeued = sum(e["requeued"] for e in state["fault_events"])
+        assert len(state["retried"]) > requeued > 0
+
+
 class TestArmedModeFallback:
-    """Faults / resilience / non-FIFO must never silently change results."""
+    """No run falls back: the default engine replays every scheduler
+    policy, fault plan and resilience config vectorized, and equals the
+    scalar oracle byte for byte."""
 
     def _trace(self, engine, n=400, seed=5):
         return synthetic_trace_arrays(
-            n, rate_rps=0.8 * engine.plan.throughput_fps, seed=seed)
+            n, rate_rps=0.8 * engine.plan.throughput_fps, seed=seed,
+            priority_levels=3)
 
-    def test_auto_runs_vectorized_when_unarmed(self, report):
-        engine = make_engine(report)
-        engine.serve(self._trace(engine), metrics=MetricsRegistry())
-        assert engine.last_engine == "vectorized"
-        assert engine.engine_fallback_reason is None
-
-    def test_auto_with_faults_runs_vectorized(self, report):
-        """auto + faults replays vectorized and matches scalar byte for
-        byte."""
-        engine = make_engine(report)
+    def _default_equals_scalar(self, engine, **serve_kwargs):
         trace = self._trace(engine)
-        auto = engine.serve(trace, metrics=MetricsRegistry(),
-                            faults="chip-kill@t=0.5").summary()
+        default = engine.serve(trace, metrics=MetricsRegistry(),
+                               **serve_kwargs).summary()
         assert engine.last_engine == "vectorized"
-        assert engine.engine_fallback_reason is None
         scalar = engine.serve(trace, metrics=MetricsRegistry(),
-                              faults="chip-kill@t=0.5",
-                              engine="scalar").summary()
-        assert json.dumps(auto, sort_keys=True) == \
-            json.dumps(scalar, sort_keys=True)
-
-    def test_auto_with_resilience_runs_vectorized(self, report):
-        """auto + resilience replays vectorized and matches scalar byte
-        for byte."""
-        engine = make_engine(report)
-        trace = self._trace(engine)
-        auto = engine.serve(trace, metrics=MetricsRegistry(),
-                            resilience=ResilienceConfig()).summary()
-        assert engine.last_engine == "vectorized"
-        assert engine.engine_fallback_reason is None
-        scalar = engine.serve(trace, metrics=MetricsRegistry(),
-                              resilience=ResilienceConfig(),
-                              engine="scalar").summary()
-        assert json.dumps(auto, sort_keys=True) == \
-            json.dumps(scalar, sort_keys=True)
-
-    def test_auto_with_priority_policy_falls_back(self, report):
-        engine = make_engine(report, policy="priority")
-        engine.serve(self._trace(engine), metrics=MetricsRegistry())
+                              engine="scalar", **serve_kwargs).summary()
         assert engine.last_engine == "scalar"
-        assert "policy" in engine.engine_fallback_reason
+        assert_identical(default, scalar)
 
-    def test_vectorized_faults_resilience_raises(self, report):
-        """Explicit vectorized + faults + resilience runs under FIFO; the
-        priority policy is what makes the same request a hard error."""
+    def test_default_engine_is_vectorized(self, report):
         engine = make_engine(report)
-        engine.serve(self._trace(engine), metrics=MetricsRegistry(),
-                     faults="chip-kill@t=0.5",
-                     resilience=ResilienceConfig(), engine="vectorized")
-        assert engine.last_engine == "vectorized"
-        engine = make_engine(report, policy="priority")
-        with pytest.raises(ValueError, match="policy"):
-            engine.serve(self._trace(engine), metrics=MetricsRegistry(),
-                         faults="chip-kill@t=0.5",
-                         resilience=ResilienceConfig(),
-                         engine="vectorized")
+        assert engine.config.engine == ServingConfig().engine == "vectorized"
+        self._default_equals_scalar(engine)
 
-    def test_explicit_vectorized_with_priority_policy_raises(self, report):
-        engine = make_engine(report, policy="priority")
-        with pytest.raises(ValueError, match="vectorized engine"):
-            engine.serve(self._trace(engine), metrics=MetricsRegistry(),
-                         engine="vectorized")
+    def test_default_with_faults_runs_vectorized(self, report):
+        self._default_equals_scalar(make_engine(report),
+                                    faults="chip-kill@t=0.5")
 
-    def test_fallback_reason_lands_in_describe(self, report):
+    def test_default_with_resilience_runs_vectorized(self, report):
+        self._default_equals_scalar(make_engine(report),
+                                    resilience=ResilienceConfig())
+
+    def test_default_with_priority_policy_runs_vectorized(self, report):
+        self._default_equals_scalar(make_engine(report, policy="priority"))
+
+    def test_priority_faults_resilience_run_vectorized(self, report):
+        self._default_equals_scalar(make_engine(report, policy="priority"),
+                                    faults="chip-kill@t=0.5",
+                                    resilience=ResilienceConfig())
+
+    def test_describe_names_the_last_engine(self, report):
         engine = make_engine(report, policy="priority")
+        assert engine.describe().splitlines()[-1] == "engine: vectorized"
         engine.serve(self._trace(engine), metrics=MetricsRegistry(),
-                     resilience=ResilienceConfig())
-        text = engine.describe()
-        assert "engine: auto" in text
-        assert "fallback" in text and "policy" in text
+                     engine="scalar")
+        assert engine.describe().splitlines()[-1] == \
+            "engine: vectorized; last run: scalar"
 
     @pytest.mark.parametrize("armed", [False, True],
                              ids=["disarmed", "armed"])
-    def test_auto_runs_vectorized_across_chaos_catalog(
+    def test_default_runs_vectorized_across_chaos_catalog(
             self, chaos_fleet, armed):
         """Every catalog scenario under the chaos plan, armed and
-        disarmed, replays vectorized under FIFO with no fallback."""
-        for name in CATALOG:
-            chaos_fleet.serve(
-                armed_trace(chaos_fleet, name, seed=3, n=300),
-                metrics=MetricsRegistry(), faults=ARMED_CHAOS_PLAN,
-                resilience=ResilienceConfig(seed=3) if armed else None)
-            assert chaos_fleet.last_engine == "vectorized", name
-            assert chaos_fleet.engine_fallback_reason is None, name
+        disarmed, under both scheduler policies, replays vectorized."""
+        fleets = (chaos_fleet, with_priority_policy(chaos_fleet))
+        for fleet in fleets:
+            for name in CATALOG:
+                fleet.serve(
+                    armed_trace(fleet, name, seed=3, n=300),
+                    metrics=MetricsRegistry(), faults=ARMED_CHAOS_PLAN,
+                    resilience=ResilienceConfig(seed=3) if armed else None)
+                assert fleet.last_engine == "vectorized", name
 
     def test_unknown_engine_rejected(self, report):
         engine = make_engine(report)
         with pytest.raises(ValueError, match="engine"):
             engine.serve(self._trace(engine), metrics=MetricsRegistry(),
-                         engine="simd")
+                         engine="auto")
         with pytest.raises(ValueError):
-            ServingConfig(engine="turbo")
-        assert set(ENGINES) == {"auto", "scalar", "vectorized"}
+            ServingConfig(engine="auto")
+        assert ENGINES == ("vectorized", "scalar")
 
 
 class TestObservableStateParity:
