@@ -51,7 +51,7 @@ def measure_overhead(num_requests: int, passes: int) -> Dict[str, float]:
             offered = factor * engine.plan.throughput_fps
             jobs.append((engine, synthetic_trace(num_requests,
                                                  rate_rps=offered,
-                                                 seed=17)))
+                                                 seed=17).materialize()))
 
     # One timed region per (pass, mode) covers the whole job sweep —
     # a ~10 ms slice is long enough for scheduler jitter to average

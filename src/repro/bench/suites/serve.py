@@ -94,7 +94,7 @@ def run_sweep(num_requests: int = 500,
         for factor in load_factors:
             offered = factor * capacity
             trace = synthetic_trace(num_requests, rate_rps=offered,
-                                    seed=17)
+                                    seed=17).materialize()
             telemetry = engine.serve(trace)
             utils = telemetry.chip_utilization()
             rows.append({
@@ -286,9 +286,9 @@ def measure_scenario_overhead(num_requests: int,
             offered = factor * engine.plan.throughput_fps
             jobs.append((engine,
                          synthetic_trace(num_requests, rate_rps=offered,
-                                         seed=17),
+                                         seed=17).materialize(),
                          steady.to_trace(num_requests, rate_rps=offered,
-                                         seed=17)))
+                                         seed=17).materialize()))
     empty_plan = FaultPlan([])
 
     def sweep_plain() -> float:
@@ -405,7 +405,7 @@ def measure_resilience_overhead(num_requests: int,
             offered = factor * engine.plan.throughput_fps
             jobs.append((engine,
                          synthetic_trace(num_requests, rate_rps=offered,
-                                         seed=31)))
+                                         seed=31).materialize()))
     for engine, trace in jobs:
         with use_metrics(MetricsRegistry()):
             plain = engine.serve(trace, engine="scalar")
@@ -697,7 +697,7 @@ def scheduler_deep_queue_factory(fast: bool) -> Workload:
     was quadratic over the trace."""
     num_requests = 2_000 if fast else 20_000
     requests = synthetic_trace(num_requests, rate_rps=100_000.0, seed=23,
-                               priority_levels=4)
+                               priority_levels=4).materialize()
     config = SchedulerConfig(max_batch_size=8, window_ms=2.0,
                              queue_depth=num_requests, policy="priority")
     drained: Dict[str, float] = {}

@@ -32,7 +32,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
+
+import numpy as np
 
 from ..core.designer import build_deployments, uniform_assignment
 from ..core.export import export_deployments, write_manifest
@@ -153,7 +156,7 @@ def add_serve_parser(subparsers) -> argparse.ArgumentParser:
     load.add_argument("--rate-fps", type=float, default=None,
                       help="synthetic offered load (default: 0.7x capacity)")
     load.add_argument("--priority-levels", type=int, default=1,
-                      help="synthetic priority classes "
+                      help="priority classes drawn per generated request "
                            "(with --sched-policy priority)")
     load.add_argument("--seed", type=int, default=0,
                       help="synthetic trace RNG seed")
@@ -433,6 +436,14 @@ def _run_serve(args) -> int:
             scenario = get_scenario(args.scenario)
             trace = scenario.to_trace(args.num_requests, rate_rps=rate,
                                       seed=args.seed)
+            if args.priority_levels > 1:
+                # A child stream of --seed: the draws never replay the
+                # scenario's own arrival draws.
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(args.seed).spawn(1)[0])
+                trace = replace(trace, priority=rng.integers(
+                    0, args.priority_levels, size=len(trace),
+                    dtype=np.int64))
             print(f"scenario {scenario.name!r}: {len(trace)} requests at "
                   f"{rate:.1f} req/s mean offered "
                   f"({scenario.description})")

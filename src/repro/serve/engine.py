@@ -433,8 +433,7 @@ class ServingEngine:
                        ) -> TelemetryCollector:
         """The per-request event loop: the permanent oracle the
         vectorized engine is held byte-identical to."""
-        if isinstance(requests, TraceArrays):
-            requests = requests.materialize()
+        # sorted() materializes a column trace into its Request rows.
         trace = sorted(requests,
                        key=lambda r: (r.arrival_ms, r.request_id))
         telemetry = TelemetryCollector(num_chips=self.config.num_chips)
@@ -643,10 +642,12 @@ class ServingEngine:
             if not candidates:
                 if i >= n and not len(scheduler) and not retry_heap:
                     break
-                # Ready work with an expired window but nothing to wait
-                # for would be a scheduling bug; advance minimally.
-                now += _EPS
-                continue
+                # Queued work with no event to wait for is a scheduling
+                # bug; stepping the clock by _EPS would spin unbounded.
+                raise RuntimeError(
+                    f"replay stalled: {len(scheduler)} request(s) queued "
+                    f"at t={now!r} ms with no event pending (trace "
+                    f"cursor {i} of {n})")
             now = min(candidates)
         if runtime is not None:
             if admission is not None:

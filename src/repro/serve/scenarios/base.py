@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..trace import Request, TraceArrays, arrays_from_requests
+from ..trace import TraceArrays
 
 __all__ = ["Scenario", "ProfileScenario", "PROFILE_GRID", "RATE_FLOOR"]
 
@@ -51,24 +51,21 @@ class Scenario:
         self.description = description
 
     def to_trace(self, num_requests: int, rate_rps: float, seed: int = 0,
-                 start_ms: float = 0.0) -> List[Request]:
+                 start_ms: float = 0.0) -> TraceArrays:
         """Generate a reproducible trace at a mean offered load of
-        ``rate_rps`` requests/second."""
-        raise NotImplementedError
+        ``rate_rps`` requests/second.
+
+        Returns the column trace (a read-only ``Sequence[Request]``;
+        ``.materialize()`` gives a list) built by
+        :meth:`to_trace_arrays`, the one generator body.
+        """
+        return self.to_trace_arrays(num_requests, rate_rps, seed=seed,
+                                    start_ms=start_ms)
 
     def to_trace_arrays(self, num_requests: int, rate_rps: float,
                         seed: int = 0, start_ms: float = 0.0) -> TraceArrays:
-        """Columnar form of the same trace (no per-request objects).
-
-        The default converts the object trace, so every registered
-        scenario supports array output; :class:`ProfileScenario`
-        overrides it to build the columns natively and derives
-        ``to_trace`` *from them* — the array path is the source of
-        truth, not a parallel implementation that could drift.
-        """
-        return arrays_from_requests(
-            self.to_trace(num_requests, rate_rps, seed=seed,
-                          start_ms=start_ms))
+        """Generate the trace's columns; subclasses implement this."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         return f"{self.name}: {self.description}"
@@ -118,10 +115,9 @@ class ProfileScenario(Scenario):
                         seed: int = 0, start_ms: float = 0.0) -> TraceArrays:
         """Invert the cumulative intensity straight into columns.
 
-        This is the native generation path: ``to_trace`` materializes
-        these arrays, so the object and column forms of one
-        ``(scenario, n, rate, seed)`` cell are identical floats by
-        construction (the property tests assert it anyway).
+        This is the one generation path: ``to_trace`` returns these
+        columns, and their materialized ``Request`` list is identical
+        floats by construction (the property tests assert it anyway).
         """
         if num_requests < 1:
             raise ValueError("num_requests must be >= 1")
@@ -150,8 +146,3 @@ class ProfileScenario(Scenario):
             request_id=np.arange(num_requests, dtype=np.int64),
             priority=np.asarray(priorities, dtype=np.int64),
             model=tuple(models) if models is not None else None)
-
-    def to_trace(self, num_requests: int, rate_rps: float, seed: int = 0,
-                 start_ms: float = 0.0) -> List[Request]:
-        return self.to_trace_arrays(num_requests, rate_rps, seed=seed,
-                                    start_ms=start_ms).materialize()

@@ -1,28 +1,34 @@
 """Request traces: the workload a serving run replays.
 
-A trace is an ordered list of :class:`Request` records — arrival time in
-simulated milliseconds, plus an optional priority class.  Synthetic traces
-use Poisson arrivals (exponential inter-arrival gaps at a configured
-offered load), the standard open-loop model for serving benchmarks; traces
-round-trip through JSON so a run is exactly reproducible from a file
-(``python -m repro serve --requests trace.json``).
+A trace is an ordered sequence of :class:`Request` records — arrival
+time in simulated milliseconds, plus an optional priority class.
+Synthetic traces use Poisson arrivals (exponential inter-arrival gaps at
+a configured offered load), the standard open-loop model for serving
+benchmarks; traces round-trip through JSON so a run is exactly
+reproducible from a file (``python -m repro serve --requests trace.json``).
 
-Web-scale traces additionally exist in *columnar* form:
-:class:`TraceArrays` holds the same workload as parallel NumPy columns so
-a million-request trace never materializes a million ``Request`` objects.
-:meth:`TraceArrays.materialize` produces the exact object trace the
-column form describes (bit-identical arrival floats), which is the
-contract the engine-equivalence test harness pins: every generator
-builds the arrays first and derives the object trace *from them*, so the
-two forms cannot drift.
+Generated traces are *columnar*: :func:`synthetic_trace` and every
+scenario's ``to_trace`` return a :class:`TraceArrays`, the same workload
+as parallel NumPy columns, so a million-request trace never builds a
+million ``Request`` objects.  ``TraceArrays`` is a read-only
+``Sequence[Request]`` — indexing and iteration build the rows on
+demand, slicing gives a sliced column trace, and it compares equal to
+the ``Request`` list it describes — while :meth:`TraceArrays.materialize`
+gives that list outright (bit-identical arrival floats).  The vectorized
+replay engine consumes the columns directly; the scalar oracle
+materializes on entry.  Building the objects costs ~70x generating the
+columns, and cheaper ``Request`` construction does not close that gap
+(docs/vectorized-replay.md has the measurements).
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,8 +68,8 @@ class Request:
             raise ValueError("arrival_ms must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceArrays:
+@dataclass(frozen=True, eq=False)
+class TraceArrays(SequenceABC):
     """A request trace as parallel columns (no per-request objects).
 
     The columnar twin of a ``List[Request]``: ``arrival_ms[k]``,
@@ -74,16 +80,22 @@ class TraceArrays:
     both engines use — when produced by the in-repo generators;
     :func:`arrays_from_requests` enforces it for arbitrary input.
 
-    The vectorized replay engine consumes this form directly; the scalar
-    engine (and anything else wanting objects) goes through
-    :meth:`materialize`, which yields exactly the ``Request`` list the
-    object-based generators used to build — same floats, same ints.
+    A read-only ``Sequence[Request]``: ``trace[k]`` (negative ``k``
+    too) builds row ``k`` as a ``Request``, a slice returns the sliced
+    columns, iteration yields the rows, and ``==`` holds against any
+    sequence holding the same requests (in either direction, so
+    ``requests == trace`` works).  The vectorized replay engine consumes
+    the columns directly; the scalar engine (and anything else wanting
+    a list) goes through :meth:`materialize`.  Rows are built with the
+    same ``float()``/``int()`` conversions wherever they come from.
     """
 
     arrival_ms: np.ndarray              # float64, nondecreasing
     request_id: np.ndarray              # int64, unique within the trace
     priority: np.ndarray                # int64
     model: Optional[Tuple[str, ...]] = None
+
+    __hash__ = None                     # mutable columns, list-like ==
 
     def __post_init__(self):
         n = self.arrival_ms.shape[0]
@@ -95,23 +107,39 @@ class TraceArrays:
     def __len__(self) -> int:
         return int(self.arrival_ms.shape[0])
 
-    def materialize(self) -> List[Request]:
-        """Expand the columns into the equivalent ``Request`` list.
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return TraceArrays(
+                arrival_ms=self.arrival_ms[key],
+                request_id=self.request_id[key],
+                priority=self.priority[key],
+                model=self.model[key] if self.model is not None else None)
+        n = len(self)
+        k = operator.index(key)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("trace index out of range")
+        return Request(request_id=int(self.request_id[k]),
+                       arrival_ms=float(self.arrival_ms[k]),
+                       priority=int(self.priority[k]),
+                       model=self.model[k] if self.model is not None else "")
 
-        Bit-identical to the object path by construction: each field
-        goes through the same ``float()``/``int()`` conversion the
-        object-based generators applied element-wise.
-        """
-        ids = self.request_id.tolist()
-        arrivals = self.arrival_ms.tolist()
-        priorities = self.priority.tolist()
-        if self.model is None:
-            return [Request(request_id=ids[k], arrival_ms=arrivals[k],
-                            priority=priorities[k])
-                    for k in range(len(ids))]
-        return [Request(request_id=ids[k], arrival_ms=arrivals[k],
-                        priority=priorities[k], model=self.model[k])
-                for k in range(len(ids))]
+    def __iter__(self) -> Iterator[Request]:
+        models = self.model if self.model is not None \
+            else ("",) * len(self)
+        return map(Request, self.request_id.tolist(),
+                   self.arrival_ms.tolist(), self.priority.tolist(), models)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) \
+            and all(map(operator.eq, self, other))
+
+    def materialize(self) -> List[Request]:
+        """The trace as a ``Request`` list (what iteration yields)."""
+        return list(self)
 
 
 def in_replay_order(trace: TraceArrays) -> TraceArrays:
@@ -168,17 +196,17 @@ def synthetic_trace_arrays(num_requests: int, rate_rps: float, seed: int = 0,
 
 def synthetic_trace(num_requests: int, rate_rps: float, seed: int = 0,
                     priority_levels: int = 1,
-                    start_ms: float = 0.0) -> List[Request]:
+                    start_ms: float = 0.0) -> TraceArrays:
     """Poisson arrival trace at an offered load of ``rate_rps`` req/s.
 
     ``priority_levels > 1`` draws each request's priority uniformly from
-    ``0..priority_levels-1`` (higher is more urgent).  Materialized from
-    :func:`synthetic_trace_arrays`, so the object and column forms of
-    the same ``(n, rate, seed)`` tuple are identical by construction.
+    ``0..priority_levels-1`` (higher is more urgent).  Returns the
+    column trace of :func:`synthetic_trace_arrays`; call
+    :meth:`TraceArrays.materialize` for a ``Request`` list.
     """
     return synthetic_trace_arrays(
         num_requests, rate_rps, seed=seed,
-        priority_levels=priority_levels, start_ms=start_ms).materialize()
+        priority_levels=priority_levels, start_ms=start_ms)
 
 
 def save_trace(requests: Sequence[Request], path: Union[str, Path]) -> None:

@@ -147,8 +147,9 @@ def _replay_events(arrivals: List[float], num_executors: int,
     expired on its head, the dispatch target is the free executor with
     the smallest ``(free_at_ms, index)``, exactly one queue-depth sample
     lands per event, and the clock advances to the earliest of next
-    arrival / window expiry / executor-free candidates (minimally, by
-    ``_EPS``, when ready work has nothing to wait for).
+    arrival / window expiry / executor-free candidates (queued work
+    with no candidate left raises ``RuntimeError``, as in the scalar
+    loop).
 
     Replica fleets are almost always one or two executor groups, so
     that case runs a twin loop holding both free times in local floats
@@ -183,7 +184,10 @@ def _replay_events(arrivals: List[float], num_executors: int,
         if nxt == _INF:
             if st.i >= n and not st.depth:
                 return st
-            nxt = lim
+            raise RuntimeError(
+                f"replay stalled: {st.depth} request(s) queued at "
+                f"t={st.now!r} ms with no event pending (trace cursor "
+                f"{st.i} of {n})")
         st.now = nxt
         if faults is not None and faults.fire(st):
             return st

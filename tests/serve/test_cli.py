@@ -1,6 +1,7 @@
 """Tests for the serve CLI (repro.serve.cli via python -m repro)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,30 @@ class TestScenarioFlags:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first[first.index("{"):] == second[second.index("{"):]
+
+    PRIORITY_ARGV = ["serve", "--scenario", "steady-poisson", "--seed", "3",
+                     "--num-requests", "400", "--json"]
+
+    def test_priority_levels_reach_scenario_traces(self, capsys):
+        summaries = {}
+        for policy in ("fifo", "priority"):
+            assert main(self.PRIORITY_ARGV + [
+                "--sched-policy", policy, "--priority-levels", "3"]) == 0
+            out = capsys.readouterr().out
+            summaries[policy] = json.loads(out[out.index("\n{") + 1:])
+        assert summaries["priority"] != summaries["fifo"]
+        assert summaries["priority"]["completed"] == 400.0
+
+    def test_single_priority_level_output_unchanged(self, capsys):
+        """One level leaves the scenario trace untouched: the whole
+        report matches the output recorded before priorities were
+        applied to scenario traces."""
+        golden = (Path(__file__).resolve().parent.parent / "baselines"
+                  / "serve_summaries"
+                  / "cli-steady-poisson-priority1-seed3.out")
+        assert main(self.PRIORITY_ARGV + [
+            "--sched-policy", "priority", "--priority-levels", "1"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["serve", "--scenario", "nope"]) == 2

@@ -257,6 +257,21 @@ class TestABSweep:
         assert all(row["achieved_fps"] > 0 for row in rows)
         assert rows[0]["p99_ms"] != rows[1]["p99_ms"]
 
+    def test_recorded_column_trace_is_not_materialized(self, monkeypatch):
+        from repro.serve.trace import TraceArrays, synthetic_trace
+
+        engines = {"knee": engine_from_search(synthetic_search_payload())}
+        trace = synthetic_trace(60, rate_rps=100.0, seed=5)
+        unsorted = trace.materialize()[::-1]
+        expected = ab_offered_load_sweep(engines, trace=unsorted)
+
+        def refuse(self):
+            raise AssertionError("column trace turned into objects")
+
+        monkeypatch.setattr(TraceArrays, "__iter__", refuse)
+        monkeypatch.setattr(TraceArrays, "materialize", refuse)
+        assert ab_offered_load_sweep(engines, trace=trace) == expected
+
     def test_empty_engines_and_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="at least one engine"):
             ab_offered_load_sweep({})

@@ -1,6 +1,11 @@
 """Tests for the serving engine event loop (repro.serve.engine)."""
 
+import time
+
 import pytest
+
+import repro.serve.engine as engine_module
+import repro.serve.vectorized as vectorized_module
 
 from repro.core.designer import build_deployments, uniform_assignment
 from repro.core.export import export_deployments, write_manifest
@@ -9,7 +14,7 @@ from repro.pim.config import DEFAULT_CONFIG
 from repro.pim.simulator import simulate_network
 from repro.serve.cache import DeploymentCache
 from repro.serve.engine import ServingConfig, ServingEngine
-from repro.serve.scheduler import SchedulerConfig
+from repro.serve.scheduler import MicroBatchScheduler, SchedulerConfig
 from repro.serve.trace import Request, synthetic_trace
 
 
@@ -148,3 +153,64 @@ class TestServing:
         def mean(xs):
             return sum(xs) / len(xs)
         assert mean(by_priority[1]) < mean(by_priority[0])
+
+
+class TestStalledReplay:
+    """Queued work with no pending event is a scheduling bug: both
+    engines raise at once instead of stepping the clock by ``_EPS``
+    without bound.  Each test drops a real candidate to force the
+    state; the call guards turn a regression into a failure, not a
+    hang."""
+
+    GUARD = 100_000
+
+    def test_scalar_loop_raises(self, report, monkeypatch):
+        calls = []
+
+        class LosesWindow(MicroBatchScheduler):
+            def next_timeout_ms(self):
+                calls.append(None)
+                assert len(calls) < TestStalledReplay.GUARD, "replay spun"
+                return None         # drop the window-expiry candidate
+
+            def has_ready_batch(self, now_ms):
+                return len(self) >= self.config.max_batch_size or (
+                    len(self) > 0
+                    and now_ms >= super().next_timeout_ms())
+
+        monkeypatch.setattr(engine_module, "MicroBatchScheduler",
+                            LosesWindow)
+        engine = make_engine(report, num_chips=2, max_batch_size=8)
+        trace = synthetic_trace(
+            203, rate_rps=0.3 * engine.plan.throughput_fps, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError,
+                           match=r"replay stalled: \d+ request\(s\) "
+                                 r"queued at t=.* \(trace cursor 203 of "
+                                 r"203\)"):
+            engine.serve(trace, engine="scalar")
+        assert time.perf_counter() - start < 5.0
+
+    def test_vectorized_pass_raises(self, report, monkeypatch):
+        close = vectorized_module._FaultSchedule.close_segment
+        calls = []
+
+        def drop_candidates(self, st, lim, nxt):
+            calls.append(None)
+            assert len(calls) < TestStalledReplay.GUARD, "replay spun"
+            close(self, st, lim, nxt)
+            return vectorized_module._INF
+
+        monkeypatch.setattr(vectorized_module._FaultSchedule,
+                            "close_segment", drop_candidates)
+        engine = make_engine(report, num_chips=2)
+        trace = synthetic_trace(
+            400, rate_rps=0.9 * engine.plan.throughput_fps, seed=2)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError,
+                           match=r"replay stalled: \d+ request\(s\) "
+                                 r"queued at t=.* \(trace cursor \d+ of "
+                                 r"400\)"):
+            engine.serve(trace, engine="vectorized",
+                         faults="cache-wipe@t=0.5")
+        assert time.perf_counter() - start < 5.0
